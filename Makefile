@@ -3,7 +3,7 @@
 # -p no:randomly is a no-op unless pytest-randomly happens to be installed.
 PYTEST = PYTHONHASHSEED=0 PYTHONPATH=src python -m pytest -p no:randomly
 
-.PHONY: check test parallel stress bench bench-analysis bench-analysis-parallel bench-generate bench-serve serve-tests obs-tests bench-obs stream-tests bench-stream fabric-tests whatif-tests bench-whatif federation-tests bench-federation spec-tests bench-spec
+.PHONY: check test parallel stress bench bench-analysis bench-generate bench-serve serve-tests obs-tests bench-obs stream-tests bench-stream fabric-tests whatif-tests bench-whatif federation-tests bench-federation spec-tests bench-spec
 
 # Fast development loop: everything except the multi-million-row stress
 # guards and the (pool-spawning, slow on few cores) differential suite.
@@ -14,7 +14,8 @@ check:
 test:
 	$(PYTEST) -x -q
 
-# Only the sharded-pipeline differential suite (serial vs jobs=N equivalence).
+# Only the pool-spawning tests: sharded generate/ingest/what-if
+# differentials (serial vs jobs=N equivalence) and the shard-fabric units.
 parallel:
 	$(PYTEST) -x -q -m parallel
 
@@ -33,11 +34,6 @@ bench-analysis:
 # Just the sharded-generation speedup benchmark; writes BENCH_generate.json.
 bench-generate:
 	$(PYTEST) -q benchmarks/bench_generator.py
-
-# Serial vs sharded analysis over a cold context; writes
-# BENCH_analysis_parallel.json (gated >= 2x only on >= 4-core runners).
-bench-analysis-parallel:
-	$(PYTEST) -q benchmarks/bench_analysis_parallel.py
 
 # Shard-fabric unit tests: shm hand-off, pipe budget, leak-proof cleanup.
 fabric-tests:

@@ -26,9 +26,10 @@ extends every cached mask, index array, gather, and derived column in
 place over just the new rows (every predicate is row-local, so the tail
 rows' values are computable from the tail alone), and folds memoized
 *results* whose aggregates reduce associatively — exact ``int64`` sums,
-category counts, histogram bin tallies — through folds registered with
-:func:`register_result_fold`. Results without a registered fold are
-dropped (per-entry fallback to the old full-invalidation behaviour) and
+category counts, histogram bin tallies — as ``merge([old,
+compute(tail)])`` through the pair registered with
+:func:`register_foldable`. Results without a registration are dropped
+(per-entry fallback to the old full-invalidation behaviour) and
 recompute cold on next use. See DESIGN.md §11 for the contract.
 """
 
@@ -60,77 +61,38 @@ T = TypeVar("T")
 #: via MPI-IO is counted once, through its POSIX record.
 _BASE_MASKS = ("unique", "shared", "large_jobs")
 
-#: Registered incremental folds for memoized results, keyed by the
-#: result name (the second element of a ``("result", name, *params)``
-#: memo key). See :func:`register_result_fold`.
-_RESULT_FOLDS: dict[str, Callable] = {}
+#: Foldable memoized results: result name (the second element of a
+#: ``("result", name, *params)`` memo key) -> ``(compute, merge)``. See
+#: :func:`register_foldable`.
+_FOLDABLE: dict[str, tuple[Callable, Callable]] = {}
 
 
-def register_result_fold(name: str, fold: Callable) -> Callable:
-    """Register an incremental fold for the memoized result ``name``.
+def register_foldable(name: str, compute: Callable, merge: Callable) -> None:
+    """Declare the memoized result ``name`` foldable.
 
-    ``fold(key, old, delta)`` receives the full memo key, the result
-    computed at the previous generation, and an :class:`AppendDelta`
-    over the appended rows; it must return the value a cold
-    ``_compute`` over the grown table would produce, **bit-identically**
-    — the differential harness enforces exactly that. Only results that
-    are pure functions of the *file* table may register a fold: the
+    ``compute(context, *params)`` is the result's cold computation and
+    ``merge(results)`` combines results computed over *disjoint row
+    sets* of one platform's file table into the result over their
+    union — **bit-identically** to ``compute`` over the union. That
+    holds for results built only from exact tallies (``int64`` row
+    counts, byte sums, histogram-bin totals) over row-local predicates,
+    with derived percentages recomputed from the merged tallies.
+
+    This one registration serves every split of the rows: an append
+    merges the old result with ``compute`` over the tail rows
+    (:meth:`AnalysisContext.apply_append`), and federation merges the
+    members' results (:mod:`repro.federation.reduce`). Only results
+    that are pure functions of the *file* table may register: the
     append path merges duplicate job rows in place, and folded results
     are kept across appends without consulting the job table.
     """
-    _RESULT_FOLDS[name] = fold
-    return fold
+    _FOLDABLE[name] = (compute, merge)
 
 
-def result_fold_names() -> tuple[str, ...]:
-    """Names of results with a registered fold (introspection/tests)."""
-    return tuple(sorted(_RESULT_FOLDS))
-
-
-class AppendDelta:
-    """One append's tail rows, exposed through context-shaped helpers.
-
-    Fold functions read two things: aggregates over *just the appended
-    rows* (the ``tail_*`` methods, backed by a private context over a
-    tail-only store so they share the mask/idx plumbing and its key
-    normalization), and — where a skip rule needs it — the full
-    post-append context via :attr:`context`.
-    """
-
-    def __init__(
-        self,
-        context: "AnalysisContext",
-        tail_context: "AnalysisContext",
-        old_rows: int,
-        new_rows: int,
-    ):
-        self.context = context
-        self._tail = tail_context
-        self.old_rows = old_rows
-        self.new_rows = new_rows
-
-    def tail_mask(self, key) -> np.ndarray:
-        return self._tail.mask(key)
-
-    def tail_idx(self, *keys) -> np.ndarray:
-        """Indices into the tail rows (add ``old_rows`` for global)."""
-        return self._tail.idx(*keys)
-
-    def tail_gather(self, column: str, *keys) -> np.ndarray:
-        return self._tail.gather(column, *keys)
-
-    def tail_positive(self, column: str, *keys) -> np.ndarray:
-        return self._tail.positive(column, *keys)
-
-    def tail_opclass(self) -> np.ndarray:
-        return self._tail.opclass()
-
-    def tail_column(self, name: str) -> np.ndarray:
-        return self._tail.column(name)
-
-    def tail_hist_sum(self, column: str, *keys) -> np.ndarray:
-        """Per-bin ``int64`` totals of a histogram column over tail rows."""
-        return self._tail.hist_sum(column, *keys)
+def foldable_merge(name: str) -> Callable | None:
+    """The registered ``merge`` of result ``name``, or None."""
+    rule = _FOLDABLE.get(name)
+    return rule[1] if rule is not None else None
 
 
 class AnalysisContext:
@@ -242,10 +204,10 @@ class AnalysisContext:
         observe either the fully-old or the fully-new state.
 
         Every cached mask/idx/gather/derived column is extended over
-        just the tail rows; memoized results fold through
-        :data:`_RESULT_FOLDS` or are dropped. Any failure inside the
-        delta update falls back to clearing the memo outright — the
-        context stays correct, merely cold.
+        just the tail rows; memoized results fold through their
+        registered ``(compute, merge)`` or are dropped. Any failure
+        inside the delta update falls back to clearing the memo
+        outright — the context stays correct, merely cold.
         """
         from repro.store.recordstore import RecordStore
         from repro.store.schema import empty_jobs
@@ -267,11 +229,9 @@ class AnalysisContext:
                     extensions=store.extensions,
                     scale=store.scale,
                 )
-                delta = AppendDelta(
-                    self, AnalysisContext(tail_store), old_rows, len(files_tail)
-                )
-                self._extend_primitives(delta)
-                self._fold_results(delta)
+                tail = AnalysisContext(tail_store)
+                self._extend_primitives(tail, old_rows)
+                self._fold_results(tail)
             except Exception as exc:
                 # Correctness over warmth: a failed delta update must
                 # never leave a half-extended cache behind. The append
@@ -286,7 +246,9 @@ class AnalysisContext:
                     error=f"{type(exc).__name__}: {exc}",
                 )
 
-    def _extend_primitives(self, delta: "AppendDelta") -> None:
+    def _extend_primitives(
+        self, tail_ctx: "AnalysisContext", n_old: int
+    ) -> None:
         """Extend every cached array entry over the appended rows.
 
         All primitives are row-local (each row's mask/derived value is a
@@ -294,7 +256,6 @@ class AnalysisContext:
         ascending, gathers follow it), so the grown entry is exactly the
         old entry followed by the tail entry computed on the tail rows.
         """
-        n_old = delta.old_rows
         for key in list(self._memo):
             if isinstance(key, tuple):
                 kind = key[0]
@@ -305,27 +266,27 @@ class AnalysisContext:
                     # Bin totals add associatively, so the grown entry is
                     # the old totals plus the tail totals — elementwise
                     # add, no growth buffer involved.
-                    self._memo[key] = self._memo[key] + delta.tail_hist_sum(
+                    self._memo[key] = self._memo[key] + tail_ctx.hist_sum(
                         key[1], *key[2]
                     )
                     continue
                 if kind == "mask":
-                    tail = delta.tail_mask(key[1])
+                    tail = tail_ctx.mask(key[1])
                 elif kind == "idx":
-                    tail = delta.tail_idx(*key[1]) + n_old
+                    tail = tail_ctx.idx(*key[1]) + n_old
                 elif kind == "gather":
-                    tail = delta.tail_gather(key[1], *key[2])
+                    tail = tail_ctx.gather(key[1], *key[2])
                 elif kind == "positive":
-                    tail = delta.tail_positive(key[1], *key[2])
+                    tail = tail_ctx.positive(key[1], *key[2])
                 elif kind == "bandwidth":
-                    tail = delta._tail.bandwidth(key[1])
+                    tail = tail_ctx.bandwidth(key[1])
                 else:  # unknown kind: drop rather than guess
                     del self._memo[key]
                     continue
             elif key == "transfer_sizes":
-                tail = delta._tail.transfer_sizes()
+                tail = tail_ctx.transfer_sizes()
             elif key == "opclass":
-                tail = delta.tail_opclass()
+                tail = tail_ctx.opclass()
             else:
                 del self._memo[key]
                 continue
@@ -354,19 +315,22 @@ class AnalysisContext:
         buf[n : n + k] = tail
         return buf[: n + k]
 
-    def _fold_results(self, delta: "AppendDelta") -> None:
-        """Fold registered memoized results; drop the rest."""
+    def _fold_results(self, tail_ctx: "AnalysisContext") -> None:
+        """Merge each foldable memoized result with its tail; drop the rest."""
         result_keys = [
             k
             for k in self._memo
             if isinstance(k, tuple) and len(k) >= 2 and k[0] == "result"
         ]
         for key in result_keys:
-            fold = _RESULT_FOLDS.get(key[1])
-            if fold is None:
+            rule = _FOLDABLE.get(key[1])
+            if rule is None:
                 del self._memo[key]
             else:
-                self._memo[key] = fold(key, self._memo[key], delta)
+                compute, merge = rule
+                self._memo[key] = merge(
+                    [self._memo[key], compute(tail_ctx, *key[2:])]
+                )
 
     # -- generic memo --------------------------------------------------------
     def cached(self, key: Hashable, compute: Callable[[], T]) -> T:
@@ -503,9 +467,8 @@ class AnalysisContext:
 
         The aggregate behind the request-size CDFs. Cached as its own
         primitive (rather than inside the analysis result) because bin
-        totals reduce associatively and exactly in ``int64`` — both the
-        append delta path and the sharded context exploit that to fold
-        partial sums instead of re-reading rows.
+        totals reduce associatively and exactly in ``int64`` — the append
+        path adds the tail's totals instead of re-reading every row.
         """
         keys = tuple(sorted(keys, key=repr))
         return self.cached(

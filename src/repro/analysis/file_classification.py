@@ -11,15 +11,11 @@ in-system:PFS usage ratios of the Figure 8 discussion.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.context import (
-    AnalysisContext,
-    AppendDelta,
-    register_result_fold,
-    resolve,
-)
+from repro.analysis.context import AnalysisContext, register_foldable, resolve
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import (
@@ -109,24 +105,22 @@ def _compute(ctx: AnalysisContext, stdio_only: bool) -> FileClassification:
     )
 
 
-def _fold(key, old: FileClassification, delta: AppendDelta) -> FileClassification:
-    """Fold appended rows into Figure 6/8: per-(layer, class) counts add."""
-    stdio_only = key[2]
-    base = "unique" if not stdio_only else ("interface", int(IOInterface.STDIO))
-    opclass = delta.tail_opclass()
-    counts: dict[str, dict[str, int]] = {}
-    for layer, code in (("insystem", LAYER_INSYSTEM), ("pfs", LAYER_PFS)):
-        per_layer = opclass[delta.tail_idx(base, ("layer", code))]
-        counts[layer] = {
-            name: old.counts[layer][name] + int(np.sum(per_layer == cls_code))
-            for cls_code, name in OPCLASS_NAMES.items()
+def merge(results: Sequence[FileClassification]) -> FileClassification:
+    """Figures 6/8 over disjoint row sets: per-(layer, class) counts add."""
+    first = results[0]
+    counts = {
+        layer: {
+            cls: sum(r.counts[layer][cls] for r in results)
+            for cls in first.counts[layer]
         }
+        for layer in first.counts
+    }
     return FileClassification(
-        platform=old.platform,
-        scale=old.scale,
-        interfaces=old.interfaces,
+        platform=first.platform,
+        scale=first.scale,
+        interfaces=first.interfaces,
         counts=counts,
     )
 
 
-register_result_fold("file_classification", _fold)
+register_foldable("file_classification", _compute, merge)

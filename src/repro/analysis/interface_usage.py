@@ -10,13 +10,9 @@ that semantics.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.context import (
-    AnalysisContext,
-    AppendDelta,
-    register_result_fold,
-    resolve,
-)
+from repro.analysis.context import AnalysisContext, register_foldable, resolve
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
@@ -77,17 +73,19 @@ def _compute(ctx: AnalysisContext) -> InterfaceUsage:
     return InterfaceUsage(platform=store.platform, scale=store.scale, counts=counts)
 
 
-def _fold(key, old: InterfaceUsage, delta: AppendDelta) -> InterfaceUsage:
-    """Fold appended rows into Table 6: per-cell counts add."""
+def merge(results: Sequence[InterfaceUsage]) -> InterfaceUsage:
+    """Table 6 over disjoint row sets: per-cell counts add."""
+    first = results[0]
     counts = {
         layer: {
-            iface.label: old.counts[layer][iface.label]
-            + len(delta.tail_idx(("layer", code), ("interface", int(iface))))
-            for iface in IOInterface
+            iface: sum(r.counts[layer][iface] for r in results)
+            for iface in first.counts[layer]
         }
-        for layer, code in (("insystem", LAYER_INSYSTEM), ("pfs", LAYER_PFS))
+        for layer in first.counts
     }
-    return InterfaceUsage(platform=old.platform, scale=old.scale, counts=counts)
+    return InterfaceUsage(
+        platform=first.platform, scale=first.scale, counts=counts
+    )
 
 
-register_result_fold("interface_usage", _fold)
+register_foldable("interface_usage", _compute, merge)

@@ -8,13 +8,9 @@ both counts and volumes select POSIX + STDIO rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from repro.analysis.context import (
-    AnalysisContext,
-    AppendDelta,
-    register_result_fold,
-    resolve,
-)
+from repro.analysis.context import AnalysisContext, register_foldable, resolve
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
 from repro.units import format_count, format_size
@@ -86,26 +82,23 @@ def _compute(ctx: AnalysisContext) -> LayerVolumes:
     )
 
 
-def _fold(key, old: LayerVolumes, delta: AppendDelta) -> LayerVolumes:
-    """Fold appended rows into Table 3: counts and int64 sums add."""
+def merge(results: Sequence[LayerVolumes]) -> LayerVolumes:
+    """Table 3 over disjoint row sets: counts and int64 sums add."""
     rows = {}
-    for name, code in (("insystem", LAYER_INSYSTEM), ("pfs", LAYER_PFS)):
-        keys = ("unique", ("layer", code))
-        prev: LayerRow = getattr(old, name)
+    for name in ("insystem", "pfs"):
+        parts = [getattr(r, name) for r in results]
         rows[name] = LayerRow(
             layer=name,
-            files=prev.files + len(delta.tail_idx(*keys)),
-            bytes_read=prev.bytes_read
-            + int(delta.tail_gather("bytes_read", *keys).sum()),
-            bytes_written=prev.bytes_written
-            + int(delta.tail_gather("bytes_written", *keys).sum()),
+            files=sum(p.files for p in parts),
+            bytes_read=sum(p.bytes_read for p in parts),
+            bytes_written=sum(p.bytes_written for p in parts),
         )
     return LayerVolumes(
-        platform=old.platform,
-        scale=old.scale,
+        platform=results[0].platform,
+        scale=results[0].scale,
         insystem=rows["insystem"],
         pfs=rows["pfs"],
     )
 
 
-register_result_fold("layer_volumes", _fold)
+register_foldable("layer_volumes", _compute, merge)

@@ -9,19 +9,16 @@ same analysis restricted to large jobs (> 1,024 processes).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.analysis.cdf import weighted_cdf
-from repro.analysis.context import (
-    AnalysisContext,
-    AppendDelta,
-    register_result_fold,
-    resolve,
-)
+from repro.analysis.context import AnalysisContext, register_foldable, resolve
 from repro.darshan.bins import ACCESS_SIZE_BINS
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
+from repro.store.schema import LAYER_CODES
 
 
 @dataclass(frozen=True)
@@ -35,10 +32,10 @@ class RequestCdf:
     total_calls: int
     bin_labels: tuple[str, ...]
     cumulative_percent: tuple[float, ...]
-    #: Exact per-bin call counts behind the curve. Carried so appended
-    #: rows fold exactly: integer tallies add associatively, and the
-    #: cumulative percentages are recomputed from the folded tallies —
-    #: bit-identical to a cold pass over the grown table.
+    #: Exact per-bin call counts behind the curve. Carried so curves
+    #: merge exactly (:func:`merge`): integer tallies add associatively,
+    #: and the cumulative percentages are recomputed from the summed
+    #: tallies — bit-identical to a cold pass over the union.
     bin_totals: tuple[int, ...]
 
     def percent_in_bin(self, label: str) -> float:
@@ -89,8 +86,7 @@ def _compute(ctx: AnalysisContext, large_jobs_only: bool) -> list[RequestCdf]:
             continue
         for direction, col in (("read", "read_hist"), ("write", "write_hist")):
             # Histogram rows are 80 bytes each; the hist_sum primitive
-            # reduces them without caching the gathered copy (and lets
-            # the sharded context sum per row range in workers).
+            # reduces them without caching the gathered copy.
             totals = ctx.hist_sum(col, *keys)
             if totals.sum() == 0:
                 continue
@@ -109,43 +105,42 @@ def _compute(ctx: AnalysisContext, large_jobs_only: bool) -> list[RequestCdf]:
     return out
 
 
-def _fold(key, old: list[RequestCdf], delta: AppendDelta) -> list[RequestCdf]:
-    """Fold appended rows into Figure 4/5: bin tallies add exactly.
+def merge(results: Sequence[list[RequestCdf]]) -> list[RequestCdf]:
+    """Figures 4/5 over disjoint row sets: bin tallies add exactly.
 
     Rebuilds the curve list in ``_compute``'s canonical layer-by-
-    direction order with identical skip rules — a layer is skipped when
-    its *full* (post-append) index is empty, a direction when its folded
-    tallies are all zero — so a curve that only now crosses either
-    threshold appears exactly as a cold recompute would emit it.
+    direction order with its skip rule: a (layer, direction) curve
+    exists iff its summed tallies are nonzero. A part that skipped the
+    curve (empty index or all-zero tallies) contributes zero, which is
+    exactly its contribution to the union.
     """
-    ctx = delta.context
-    large_jobs_only = key[2]
-    prev: dict[tuple[str, str], np.ndarray] = {
-        (c.layer, c.direction): np.asarray(c.bin_totals, dtype=np.int64)
-        for c in old
-    }
+    tallies: dict[tuple[str, str], np.ndarray] = {}
+    exemplar: dict[tuple[str, str], RequestCdf] = {}
+    for curve in (c for r in results for c in r):
+        key = (curve.layer, curve.direction)
+        totals = np.asarray(curve.bin_totals, dtype=np.int64)
+        if key in tallies:
+            tallies[key] = tallies[key] + totals
+        else:
+            tallies[key] = totals
+            exemplar[key] = curve
     out = []
-    for layer, code in ctx.layer_items():
-        keys = [("interface", int(IOInterface.POSIX)), ("layer", code)]
-        if large_jobs_only:
-            keys.append("large_jobs")
-        if not len(ctx.idx(*keys)):
+    for layer in LAYER_CODES:
+        if layer == "other":  # _compute iterates ctx.layer_items()
             continue
-        for direction, col in (("read", "read_hist"), ("write", "write_hist")):
-            totals = delta.tail_hist_sum(col, *keys)
-            seen = prev.get((layer, direction))
-            if seen is not None:
-                totals = seen + totals
-            if totals.sum() == 0:
+        for direction in ("read", "write"):
+            totals = tallies.get((layer, direction))
+            if totals is None or totals.sum() == 0:
                 continue
+            seed = exemplar[(layer, direction)]
             out.append(
                 RequestCdf(
-                    platform=ctx.store.platform,
+                    platform=seed.platform,
                     layer=layer,
                     direction=direction,
-                    large_jobs_only=large_jobs_only,
+                    large_jobs_only=seed.large_jobs_only,
                     total_calls=int(totals.sum()),
-                    bin_labels=ACCESS_SIZE_BINS.labels,
+                    bin_labels=seed.bin_labels,
                     cumulative_percent=tuple(weighted_cdf(totals)),
                     bin_totals=tuple(int(t) for t in totals),
                 )
@@ -153,4 +148,4 @@ def _fold(key, old: list[RequestCdf], delta: AppendDelta) -> list[RequestCdf]:
     return out
 
 
-register_result_fold("request_cdfs", _fold)
+register_foldable("request_cdfs", _compute, merge)

@@ -89,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--out", default=None,
         help="output path: .npz (compressed, portable) or a .store "
              "directory (uncompressed raw layout that later loads "
-             "memory-mapped — the fast path for 'analyze --jobs')",
+             "memory-mapped)",
     )
     p_gen.add_argument(
         "--spec", default=None, metavar="NAME_OR_PATH",
@@ -121,11 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_an.add_argument(
         "--exhibit", default="table3",
         choices=sorted({*exhibit_names(), *federated_query_names()}),
-    )
-    p_an.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for sharded analysis "
-             "(1 = serial, 0 = all cores; results are identical)",
     )
     p_an.add_argument(
         "--list", action="store_true",
@@ -284,11 +279,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument(
         "--timeout", type=float, default=None,
         help="default per-request deadline in seconds",
-    )
-    p_srv.add_argument(
-        "--analysis-jobs", type=int, default=None,
-        help="worker processes for sharded analysis primitives "
-             "(default serial; 0 = all cores)",
     )
     traceable(p_srv)
 
@@ -520,9 +510,7 @@ def _cmd_analyze(args) -> int:
         from repro.serve.registry import validate_params
 
         try:
-            executor, federated = _federated_executor(
-                args.catalog, workers=args.jobs or 4
-            )
+            executor, federated = _federated_executor(args.catalog)
             with executor:
                 spec = federated.get(args.exhibit)
                 if spec is None:
@@ -550,8 +538,6 @@ def _cmd_analyze(args) -> int:
               "--catalog is given", file=sys.stderr)
         return 2
     store = load_store(args.store)
-    if args.jobs != 1:
-        store.set_analysis_jobs(args.jobs)
     spec = registry[args.exhibit]
     result = run_query(store, args.exhibit, params or None)
     if args.as_json:
@@ -711,7 +697,6 @@ def _cmd_serve(args) -> int:  # pragma: no cover - blocking accept loop
         max_queue=args.queue_depth,
         cache_entries=args.cache_entries,
         default_timeout=args.timeout,
-        analysis_jobs=args.analysis_jobs,
     )
     run_server(engine, args.host, args.port)
     return 0

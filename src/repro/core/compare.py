@@ -270,9 +270,14 @@ def _summit_checks(r: StudyResults) -> list[ShapeCheck]:
     # Figure 11: SCNL writes — STDIO competitive or better around 1 GB.
     # Like the paper ("some of the boxplots are missing because of the
     # absence of files in that size range"), skip when both bins are
-    # empty; pool them otherwise.
-    sperf = panel(r.fig11_12, "insystem", "write")
-    ratio = _pooled_speedup(sperf, ["100M_1G"])
+    # empty — or when there is no SCNL write panel at all — and pool
+    # them otherwise.
+    try:
+        sperf = panel(r.fig11_12, "insystem", "write")
+    except KeyError:
+        ratio = float("nan")
+    else:
+        ratio = _pooled_speedup(sperf, ["100M_1G"])
     if math.isfinite(ratio):
         out.append(
             _check(

@@ -1,6 +1,6 @@
 """Zero-copy shard fabric: shared-memory hand-off between processes.
 
-The sharded pipelines (generate, ingest, sharded analysis) move columnar
+The sharded pipelines (generate, ingest, what-if sweeps) move columnar
 NumPy tables between pool workers and the parent. Pickling those tables
 across the pool's result pipe costs two full copies plus pipe syscalls
 per shard — BENCH_generate.json recorded the sharded pipeline running
@@ -61,8 +61,10 @@ _live: set[str] = set()
 #: Consumer-side attach cache (pool workers map the same backing segment
 #: for many tasks; re-mapping per task would cost a syscall round trip
 #: each time). Bounded: oldest mapping is closed once the cap is hit.
+#: Small, because a mapping pins its segment's memory even after the
+#: owner unlinks it, and a what-if arena is a whole file table.
 _attach_cache: dict[str, shared_memory.SharedMemory] = {}
-_ATTACH_CACHE_CAP = 32
+_ATTACH_CACHE_CAP = 4
 
 
 def _segment_name() -> str:
@@ -274,12 +276,11 @@ class ArenaSpec:
 class Arena:
     """A parent-preallocated segment that workers fill range-by-range.
 
-    The fixed-size half of the sharded-analysis hand-off: the parent
-    sizes the arena for the whole output array, each worker writes only
-    its contiguous row range, and the parent's view of the full array is
-    the assembled result — zero copies on either side. The parent keeps
-    the mapping open for as long as the view is referenced (the sharded
-    context memoizes the view) and unlinks via :meth:`close`.
+    The parent sizes the arena for a whole array and workers attach it
+    by :class:`ArenaSpec` — the what-if sweep copies the file table in
+    once and every worker reads it, with no rows crossing the pool
+    pipe. The parent keeps the mapping open for as long as workers may
+    attach and unlinks via :meth:`close`.
     """
 
     def __init__(self, dtype: np.dtype, shape: tuple[int, ...]):
@@ -304,17 +305,15 @@ class Arena:
 def attach_cached(name: str) -> shared_memory.SharedMemory:
     """Map a segment read-through a per-process cache (worker hot path).
 
-    Pool workers are long-lived; the sharded analysis context sends many
-    tasks against the same backing segment, and mapping it once per
-    worker instead of once per task is part of keeping the fan-out
-    overhead per call in the microseconds. Cached mappings do NOT take
-    unlink ownership.
+    Pool workers are long-lived; a what-if sweep sends every point
+    against the same arena, and mapping it once per worker instead of
+    once per task keeps the fan-out overhead per point small. Cached
+    mappings do NOT take unlink ownership.
     """
     shm = _attach_cache.get(name)
     if shm is None:
         while len(_attach_cache) >= _ATTACH_CACHE_CAP:
-            _, old = _attach_cache.popitem()
-            old.close()
+            _attach_cache.pop(next(iter(_attach_cache))).close()
         shm = shared_memory.SharedMemory(name=name)
         _attach_cache[name] = shm
     return shm

@@ -5,55 +5,42 @@ associatively-exact quantities — ``int64`` row counts, byte sums, and
 histogram-bin tallies — over pure row-local predicates
 (:class:`~repro.analysis.context.AnalysisContext` masks are all
 row-local). For those, the result over a concatenation of member stores
-is the member-wise sum, **bit-identically**: summing each member's
-integer tallies and recomputing the derived percentages is exactly what
-a cold pass over the merged table would do. These are the same queries
-that registered an append fold (``register_result_fold``) — the fold's
-associativity argument is the reducer's correctness argument, applied
-across stores instead of across appends.
+is the members' results merged, **bit-identically**. They are exactly
+the registry's *foldable* queries: the ``merge`` each one registers
+next to its ``_compute``
+(:func:`repro.analysis.context.register_foldable`) folds appended rows
+into a live store's results and, here, folds member results into the
+catalog's.
 
 Everything else (medians, CDF sample pools, per-user groupings, ...)
 has no exact member-wise reduction and goes through the executor's
 merged-store fallback instead.
-
-Reducers receive the per-member results **in member (catalog) order**
-and return what the query would produce on the members' merged store.
-Member order matters only for error messages — every reduction here is
-commutative.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-import numpy as np
-
-from repro.analysis.cdf import weighted_cdf
-from repro.analysis.file_classification import FileClassification
-from repro.analysis.interface_usage import InterfaceUsage
-from repro.analysis.layer_volumes import LayerRow, LayerVolumes
-from repro.analysis.request_cdfs import RequestCdf
+from repro.analysis.context import foldable_merge
 from repro.errors import CatalogError
-from repro.store.schema import LAYER_CODES
-
-#: (layer name, code) pairs in the canonical ``layer_items()`` order the
-#: single-store ``_compute`` bodies iterate — reducers must emit curves
-#: and rows in exactly this order to stay bit-identical.
-_LAYER_ITEMS = tuple(
-    (name, code) for name, code in LAYER_CODES.items() if name != "other"
-)
+from repro.serve.registry import default_registry, exhibit_result
 
 
 def _check_uniform(results: Sequence, query: str) -> None:
-    """Platform/scale must agree, as ``merge_stores`` would enforce."""
-    platforms = {r.platform for r in results}
+    """Platform/scale must agree, as ``merge_stores`` would enforce.
+
+    A list-valued result (the request-size curves) is checked per
+    curve; an empty list has nothing to disagree with.
+    """
+    parts = [p for r in results for p in (r if isinstance(r, list) else [r])]
+    platforms = {p.platform for p in parts}
     if len(platforms) > 1:
         raise CatalogError(
             f"cannot reduce {query!r} across platforms "
             f"{', '.join(sorted(platforms))}; route per member or select "
             "one platform"
         )
-    scales = {r.scale for r in results if hasattr(r, "scale")}
+    scales = {p.scale for p in parts if hasattr(p, "scale")}
     if len(scales) > 1:
         raise CatalogError(
             f"cannot reduce {query!r} across member scales "
@@ -61,124 +48,24 @@ def _check_uniform(results: Sequence, query: str) -> None:
         )
 
 
-def _reduce_layer_volumes(results: Sequence[LayerVolumes]) -> LayerVolumes:
-    """Table 3: file counts and byte volumes add exactly per layer."""
-    _check_uniform(results, "table3")
-    rows = {}
-    for name in ("insystem", "pfs"):
-        parts = [getattr(r, name) for r in results]
-        rows[name] = LayerRow(
-            layer=name,
-            files=sum(p.files for p in parts),
-            bytes_read=sum(p.bytes_read for p in parts),
-            bytes_written=sum(p.bytes_written for p in parts),
-        )
-    return LayerVolumes(
-        platform=results[0].platform,
-        scale=results[0].scale,
-        insystem=rows["insystem"],
-        pfs=rows["pfs"],
-    )
-
-
-def _reduce_interface_usage(results: Sequence[InterfaceUsage]) -> InterfaceUsage:
-    """Table 6: per-(layer, interface) row counts add exactly."""
-    _check_uniform(results, "table6")
-    first = results[0]
-    counts = {
-        layer: {
-            iface: sum(r.counts[layer][iface] for r in results)
-            for iface in first.counts[layer]
-        }
-        for layer in first.counts
-    }
-    return InterfaceUsage(
-        platform=first.platform, scale=first.scale, counts=counts
-    )
-
-
-def _reduce_request_cdfs(
-    results: Sequence[list[RequestCdf]],
-) -> list[RequestCdf]:
-    """Figures 4/5: bin tallies add; percentages recomputed from sums.
-
-    Rebuilds the curve list in ``_compute``'s canonical layer-by-
-    direction order with its skip rules: a (layer, direction) curve
-    exists iff the summed tallies are nonzero — a member that skipped
-    the curve (empty index or all-zero tallies) contributes zero, which
-    is exactly its contribution to the merged table.
-    """
-    curves = [c for r in results for c in r]
-    if curves:
-        _check_uniform(curves, "request_cdfs")
-    tallies: dict[tuple[str, str], np.ndarray] = {}
-    exemplar: dict[tuple[str, str], RequestCdf] = {}
-    for curve in curves:
-        key = (curve.layer, curve.direction)
-        totals = np.asarray(curve.bin_totals, dtype=np.int64)
-        if key in tallies:
-            tallies[key] = tallies[key] + totals
-        else:
-            tallies[key] = totals
-            exemplar[key] = curve
-    out = []
-    for layer, _code in _LAYER_ITEMS:
-        for direction in ("read", "write"):
-            totals = tallies.get((layer, direction))
-            if totals is None or totals.sum() == 0:
-                continue
-            seed = exemplar[(layer, direction)]
-            out.append(
-                RequestCdf(
-                    platform=seed.platform,
-                    layer=layer,
-                    direction=direction,
-                    large_jobs_only=seed.large_jobs_only,
-                    total_calls=int(totals.sum()),
-                    bin_labels=seed.bin_labels,
-                    cumulative_percent=tuple(weighted_cdf(totals)),
-                    bin_totals=tuple(int(t) for t in totals),
-                )
-            )
-    return out
-
-
-def _reduce_file_classification(
-    results: Sequence[FileClassification],
-) -> FileClassification:
-    """Figures 6/8: per-(layer, class) counts add exactly."""
-    _check_uniform(results, "file_classification")
-    first = results[0]
-    counts = {
-        layer: {
-            cls: sum(r.counts[layer][cls] for r in results)
-            for cls in first.counts[layer]
-        }
-        for layer in first.counts
-    }
-    return FileClassification(
-        platform=first.platform,
-        scale=first.scale,
-        interfaces=first.interfaces,
-        counts=counts,
-    )
-
-
-#: Query name -> exact reducer. Membership here is a *proof obligation*:
-#: the differential federation suite pins each entry bit-identical to
-#: the merged-store answer.
+#: Query name -> exact reducer, for every foldable registry query.
+#: Membership is a *proof obligation*: the differential federation suite
+#: pins each entry bit-identical to the merged-store answer.
 REDUCERS: dict[str, Callable] = {
-    "table3": _reduce_layer_volumes,
-    "table6": _reduce_interface_usage,
-    "fig4": _reduce_request_cdfs,
-    "fig5": _reduce_request_cdfs,
-    "fig6": _reduce_file_classification,
-    "fig8": _reduce_file_classification,
+    name: foldable_merge(exhibit_result(spec))
+    for name, spec in default_registry().items()
+    if spec.foldable
 }
 
 
 def reduce_results(query: str, results: Sequence) -> object:
-    """Reduce per-member results of ``query`` (must be in REDUCERS)."""
+    """Reduce per-member results of ``query`` (must be in REDUCERS).
+
+    ``results`` come in member (catalog) order; order matters only for
+    error messages — every merge is commutative.
+    """
     if not results:
         raise CatalogError(f"cannot reduce {query!r} over zero members")
-    return REDUCERS[query](results)
+    merge = REDUCERS[query]
+    _check_uniform(results, query)
+    return merge(results)

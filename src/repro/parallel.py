@@ -21,9 +21,8 @@ Two perf disciplines keep the fan-out from eating its own winnings
   the pool pipe. The caller supplies ``reduce`` so the parent can merge
   the shard views and release every segment before returning.
 * **Pool reuse** — one pool per worker count is kept alive for the
-  process (torn down at exit), so a run that fans out repeatedly — the
-  sharded analysis context issues one fan-out per primitive — pays pool
-  startup once, not per call.
+  process (torn down at exit), so a run that fans out repeatedly — a
+  session of what-if sweeps — pays pool startup once, not per call.
 
 Worker failures are wrapped in :class:`repro.errors.ShardError` carrying
 the failing shard's id; one bad shard fails the whole run loudly rather
@@ -130,25 +129,6 @@ def contiguous_shards(costs: Sequence[float], nshards: int) -> list[slice]:
     return out
 
 
-def contiguous_row_ranges(
-    nrows: int, nshards: int, *, block: int = 65536
-) -> list[tuple[int, int]]:
-    """Contiguous ``(lo, hi)`` row ranges, cost-balanced at block grain.
-
-    The read-side twin of :func:`contiguous_shards`: rows cost the same,
-    so the planner runs over ``ceil(nrows / block)`` equal-cost blocks
-    (never a per-row cost list) and converts the block slices back to
-    row bounds. Used by the sharded analysis context.
-    """
-    if nrows <= 0:
-        return []
-    nblocks = -(-nrows // block)
-    slices = contiguous_shards([1.0] * nblocks, nshards)
-    return [
-        (sl.start * block, min(sl.stop * block, nrows)) for sl in slices
-    ]
-
-
 # -- persistent pools --------------------------------------------------------
 _pools: dict[int, object] = {}
 _POOL_CACHE_CAP = 2
@@ -186,17 +166,6 @@ def _drop_pool(processes: int) -> None:
     pool = _pools.pop(processes, None)
     if pool is not None:
         pool.terminate()
-
-
-def warm_pool(jobs: int | None) -> None:
-    """Eagerly create the pool for ``jobs`` workers (from the caller's
-    thread). Fork-starting a pool from inside a worker *thread* is the
-    classic multiprocessing deadlock; services that will fan out from
-    threads (``repro serve --analysis-jobs``) warm the pool at startup
-    instead."""
-    njobs = resolve_jobs(jobs)
-    if njobs > 1:
-        get_pool(njobs)
 
 
 def pool_map(processes: int, fn, tasks: list) -> list:
@@ -264,12 +233,6 @@ def _decode_value(value, segments: list):
         store, shm = fabric.import_store(value)
         segments.append(shm)
         return store
-    if isinstance(value, fabric.TablesRef):
-        # A bare array shipped through shm (the sharded analysis
-        # context's variable-size primitives export their own refs).
-        views, shm = fabric.import_tables(value)
-        segments.append(shm)
-        return views[0] if len(views) == 1 else views
     return value
 
 
@@ -280,8 +243,6 @@ def _segment_names(value):
             yield from _segment_names(v)
     elif isinstance(value, fabric.StoreRef):
         yield value.tables.name
-    elif isinstance(value, fabric.TablesRef):
-        yield value.name
 
 
 def run_sharded(

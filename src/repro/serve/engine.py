@@ -66,7 +66,6 @@ class QueryEngine:
         max_queue: int = 32,
         cache_entries: int = 256,
         default_timeout: float | None = None,
-        analysis_jobs: int | None = None,
         extra_queries: Mapping[str, QuerySpec] | None = None,
         registry: Mapping[str, QuerySpec] | None = None,
     ):
@@ -74,15 +73,6 @@ class QueryEngine:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         if max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if analysis_jobs is not None:
-            # Sharded analysis fans out over a process pool; create it
-            # now, from the main thread — forking lazily from a worker
-            # thread mid-request is the classic multiprocessing
-            # deadlock (see repro.parallel.warm_pool).
-            from repro.parallel import warm_pool
-
-            store.set_analysis_jobs(analysis_jobs)
-            warm_pool(analysis_jobs)
         self.store = store
         self.max_workers = max_workers
         self.max_queue = max_queue

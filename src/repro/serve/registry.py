@@ -40,6 +40,7 @@ from repro.analysis import (
     tuning_report,
     user_activity,
 )
+from repro.analysis.context import foldable_merge
 from repro.analysis.report import HEADERS
 from repro.errors import ServeError
 from repro.platforms import get_platform
@@ -64,11 +65,13 @@ class QuerySpec:
     #: Uncacheable queries (``stats``) recompute on every request and
     #: never coalesce.
     cacheable: bool = True
-    #: Foldable queries have a registered result fold
-    #: (:func:`repro.analysis.context.register_result_fold`): on an
-    #: append-only store mutation their memoized result is updated in
-    #: place, so :meth:`QueryEngine.refresh` can re-warm the result
-    #: cache at the new generation with a cheap memo-hit rerun.
+    #: Foldable queries answer with a result that registered its
+    #: ``(compute, merge)`` (:func:`repro.analysis.context.register_foldable`);
+    #: derived by :func:`default_registry`, never set by hand. On an
+    #: append-only store mutation their memoized result is merged with
+    #: the tail's in place, so :meth:`QueryEngine.refresh` can re-warm
+    #: the result cache at the new generation with a cheap memo-hit
+    #: rerun, and federation reduces them member-wise.
     foldable: bool = False
     #: Mergeable queries are pure functions of a store's tables, so the
     #: federation layer (:mod:`repro.federation`) may answer them across
@@ -103,12 +106,22 @@ def validate_params(spec: QuerySpec, params: Mapping | None) -> dict:
 
 
 def _exhibit(fn, **fixed):
-    """Runner for a parameterless exhibit entry point."""
+    """Runner for a parameterless exhibit entry point.
+
+    Entry points memoize their result under ``("result", <own name>,
+    ...)``, so the runner records that name for :func:`exhibit_result`.
+    """
 
     def run(store, ctx, params):
         return fn(store, context=ctx, **fixed)
 
+    run.result_name = fn.__name__
     return run
+
+
+def exhibit_result(spec: QuerySpec) -> str | None:
+    """Name of the memoized analysis result ``spec`` answers with."""
+    return getattr(spec.run, "result_name", None)
 
 
 def _run_shapes(store, ctx, params):
@@ -175,28 +188,26 @@ def default_registry() -> dict[str, QuerySpec]:
         QuerySpec("table2", "Table 2 - dataset summary", "table", "table2",
                   _exhibit(dataset_summary)),
         QuerySpec("table3", "Table 3 - files and volume per layer", "table",
-                  "table3", _exhibit(layer_volumes), foldable=True),
+                  "table3", _exhibit(layer_volumes)),
         QuerySpec("table4", "Table 4 - >1TB files", "table", "table4",
                   _exhibit(large_files)),
         QuerySpec("table5", "Table 5 - job layer exclusivity", "table",
                   "table5", _exhibit(layer_exclusivity)),
         QuerySpec("table6", "Table 6 - interface usage", "table", "table6",
-                  _exhibit(interface_usage), foldable=True),
+                  _exhibit(interface_usage)),
         QuerySpec("fig3", "Figure 3 - transfer-size CDFs", "table", "fig3",
                   _exhibit(transfer_cdfs)),
         QuerySpec("fig4", "Figure 4 - request-size CDFs", "table", "fig4",
-                  _exhibit(request_cdfs), foldable=True),
+                  _exhibit(request_cdfs)),
         QuerySpec("fig5", "Figure 5 - request-size CDFs (large jobs)",
                   "table", "fig4",
-                  _exhibit(request_cdfs, large_jobs_only=True),
-                  foldable=True),
+                  _exhibit(request_cdfs, large_jobs_only=True)),
         QuerySpec("fig6", "Figure 6 - file classification", "table", "fig6",
-                  _exhibit(file_classification), foldable=True),
+                  _exhibit(file_classification)),
         QuerySpec("fig7", "Figure 7 - in-system domains", "table", "fig7",
                   _exhibit(insystem_domain_usage)),
         QuerySpec("fig8", "Figure 8 - STDIO classification", "table", "fig6",
-                  _exhibit(file_classification, stdio_only=True),
-                  foldable=True),
+                  _exhibit(file_classification, stdio_only=True)),
         QuerySpec("fig9", "Figure 9 - interface transfer CDFs", "table",
                   "fig9", _exhibit(interface_transfer_cdfs)),
         QuerySpec("fig10", "Figure 10 - STDIO domains", "table", "fig7",
@@ -223,8 +234,14 @@ def default_registry() -> dict[str, QuerySpec]:
     # Every tabular exhibit is a pure function of the store tables and
     # thus federable across a catalog; what-if sweeps are not (they
     # model one platform's hardware parameters, not the fleet's union).
+    # The foldable ones are the exhibits whose result registered a
+    # merge with the analysis layer.
     specs = [
-        dataclasses.replace(spec, mergeable=True)
+        dataclasses.replace(
+            spec,
+            mergeable=True,
+            foldable=foldable_merge(exhibit_result(spec)) is not None,
+        )
         if spec.kind == "table" and not spec.name.startswith("whatif_")
         else spec
         for spec in specs

@@ -8,8 +8,8 @@ Two on-disk layouts share one meta schema:
   in plain :mod:`numpy.lib.format` plus a ``meta.json`` sidecar. Nothing
   is compressed, so :func:`load_store` can map the tables with
   ``mmap_mode="r"``: opening a facility-year store costs page-table
-  setup, not a full read, and the sharded analysis workers
-  (:mod:`repro.analysis.sharded`) open the same ``files.npy`` zero-copy
+  setup, not a full read, and what-if sweep workers
+  (:mod:`repro.whatif.engine`) open the same ``files.npy`` zero-copy
   instead of receiving rows over a pipe. The convention is a ``.store``
   path suffix; :func:`save_store` picks the layout from the suffix and
   :func:`load_store` detects a directory automatically.
@@ -152,7 +152,7 @@ def _load_raw(path: str, mmap: bool | None) -> RecordStore:
         scale=meta["scale"],
         schema_version=meta.get("schema_version", 1),
     )
-    # Remember the on-disk backing so the sharded analysis fan-out can
+    # Remember the on-disk backing so the what-if sweep fan-out can
     # hand workers a path to mmap instead of exporting rows into shm.
     store.files_path = os.path.join(path, "files.npy")
     return store

@@ -57,11 +57,9 @@ class RecordStore:
         self.schema_version = schema_version
         self._generation = 0
         self._analysis = None
-        self._analysis_jobs = None
-        self._analysis_min_rows = None
         # Set by the raw-layout loader: path of the on-disk files.npy,
-        # letting sharded analysis workers mmap rows instead of
-        # receiving them through shared memory.
+        # letting what-if sweep workers mmap rows instead of receiving
+        # them through shared memory.
         self.files_path = None
         # Capacity-backed buffer behind the append path: append() keeps
         # ``files`` as a view of an over-allocated array so repeated
@@ -83,8 +81,6 @@ class RecordStore:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self.__dict__.setdefault("_files_buf", None)
-        self.__dict__.setdefault("_analysis_jobs", None)
-        self.__dict__.setdefault("_analysis_min_rows", None)
         self.__dict__.setdefault("files_path", None)
         self.__dict__.setdefault("schema_version", SCHEMA_VERSION)
 
@@ -109,49 +105,17 @@ class RecordStore:
         self._generation += 1
         self._analysis = None
 
-    def set_analysis_jobs(
-        self, jobs: int | None, *, min_rows: int | None = None
-    ) -> None:
-        """Route :meth:`analysis` through a sharded context.
-
-        ``jobs`` follows the ``--jobs`` convention (None/1 serial, 0 =
-        usable cores, N = N workers). ``min_rows`` overrides the
-        fan-out threshold (below it the sharded context computes
-        serially); the default is tuned for real stores, tests pass 0
-        to force sharding on tiny ones. Takes effect on the next
-        :meth:`analysis` call; any live context is dropped so the
-        setting applies immediately.
-        """
-        from repro.parallel import resolve_jobs
-
-        resolve_jobs(jobs)  # validate eagerly; resolve lazily at build time
-        self._analysis_jobs = jobs
-        self._analysis_min_rows = min_rows
-        self._analysis = None
-
     def analysis(self):
         """The store's shared :class:`AnalysisContext` (built lazily).
 
         Repeated analyses over the same store reuse one context, so the
         common masks, index arrays, and derived columns are computed at
-        most once per store generation. After
-        :meth:`set_analysis_jobs` with more than one worker, the context
-        is a :class:`~repro.analysis.sharded.ShardedAnalysisContext`
-        that fans primitive computation out over row ranges — results
-        are bit-identical to the serial context.
+        most once per store generation.
         """
         from repro.analysis.context import AnalysisContext
 
         if self._analysis is None or self._analysis.generation != self._generation:
-            jobs = self._analysis_jobs
-            if jobs is not None and jobs != 1:
-                from repro.analysis.sharded import ShardedAnalysisContext
-
-                self._analysis = ShardedAnalysisContext(
-                    self, jobs=jobs, min_rows=self._analysis_min_rows
-                )
-            else:
-                self._analysis = AnalysisContext(self)
+            self._analysis = AnalysisContext(self)
         return self._analysis
 
     def extend(self, files: np.ndarray, jobs: np.ndarray | None = None) -> None:

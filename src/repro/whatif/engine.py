@@ -419,9 +419,9 @@ def sweep(
 
 
 def _export_backing(store: RecordStore):
-    """Zero-copy row hand-off, mirroring the sharded analysis context:
-    raw-layout stores are mmapped by workers (shared page cache), others
-    are copied once into a shared-memory arena."""
+    """Zero-copy row hand-off: raw-layout stores are mmapped by workers
+    (shared page cache), others are copied once into a shared-memory
+    arena."""
     path = getattr(store, "files_path", None)
     if path is not None and isinstance(store.files, np.memmap):
         return ("mmap", path), None
@@ -430,18 +430,27 @@ def _export_backing(store: RecordStore):
     return ("arena", arena.spec), arena
 
 
+def _open_rows(backing) -> np.ndarray:
+    """Worker side of :func:`_export_backing`: the shared rows.
+
+    An arena attaches through the fabric's per-process attach cache, so
+    a pool worker maps it once per sweep, not once per point.
+    """
+    kind, src = backing
+    if kind == "mmap":
+        return np.load(src, mmap_mode="r", allow_pickle=False)
+    return src.open()
+
+
 def _sweep_shard(payload):
     """Pool worker: one sweep point, end to end. Module-level so it
-    pickles under any start method; rows attach via the worker-side
-    backing cache shared with sharded analysis."""
+    pickles under any start method."""
     (backing, jobs, platform, scale, domains, extensions,
      plan, baseline, want_store) = payload
-    from repro.analysis.sharded import _open_rows
-
     with trace_span("whatif.shard", "whatif") as sp:
         if sp is not None:
             sp.add(scenario=plan.scenario)
-        _, files = _open_rows(backing)
+        files = _open_rows(backing)
         report, scn_files = _point(
             files, jobs, scale, platform, plan, baseline=baseline
         )

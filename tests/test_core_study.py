@@ -4,7 +4,10 @@ import pytest
 
 from repro.core import CharacterizationStudy, StudyConfig
 from repro.core import expectations as exp
+from repro.core.compare import run_shape_checks
+from repro.core.study import compute_results
 from repro.errors import ConfigurationError
+from repro.store.schema import LAYER_INSYSTEM
 
 
 class TestStudyConfig:
@@ -60,6 +63,23 @@ class TestShapeChecks:
         assert len(checks) >= 14
         failures = [str(c) for c in checks if not c.passed]
         assert not failures, "\n".join(failures)
+
+    def test_missing_insystem_write_panel_skips_its_check(
+        self, summit_store_small
+    ):
+        """A population with no SCNL writes has no Figure 11 SCNL write
+        panel; its check is skipped instead of raising KeyError."""
+        files = summit_store_small.files
+        scnl_writes = (files["layer"] == LAYER_INSYSTEM) & (
+            files["bytes_written"] > 0
+        )
+        store = summit_store_small.filter(~scnl_writes)
+        results = compute_results(store)
+        panels = {(p.layer, p.direction) for p in results.fig11_12}
+        assert ("insystem", "write") not in panels
+        checks = run_shape_checks(results)
+        assert checks
+        assert not [c for c in checks if c.name.startswith("SCNL writes")]
 
     def test_checks_cover_all_exhibit_families(self, study):
         exhibits = {c.exhibit for c in study.shape_checks("summit")}

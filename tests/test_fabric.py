@@ -21,7 +21,6 @@ import pytest
 from repro import fabric, parallel
 from repro.errors import ConfigurationError, ShardError
 from repro.parallel import (
-    contiguous_row_ranges,
     contiguous_shards,
     resolve_jobs,
     run_sharded,
@@ -252,14 +251,3 @@ class TestContiguousShards:
 
     def test_empty_costs(self):
         assert contiguous_shards([], 4) == []
-
-    def test_row_ranges_cover_exactly(self):
-        ranges = contiguous_row_ranges(1_000_003, 7, block=4096)
-        assert ranges[0][0] == 0 and ranges[-1][1] == 1_000_003
-        for (a, b), (c, d) in zip(ranges, ranges[1:]):
-            assert b == c and a < b
-        assert len(ranges) == 7
-
-    def test_row_ranges_tiny(self):
-        assert contiguous_row_ranges(0, 4) == []
-        assert contiguous_row_ranges(3, 8, block=1) == [(0, 1), (1, 2), (2, 3)]

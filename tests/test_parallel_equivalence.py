@@ -16,12 +16,10 @@ import os
 import numpy as np
 import pytest
 
-from repro import fabric
 from repro.darshan.format import write_log
 from repro.instrument import LogMaterializer
 from repro.store.ingest import ingest_log_paths, ingest_logs
 from repro.store.merge import canonicalize
-from repro.store.recordstore import RecordStore
 from repro.workloads.generator import (
     GeneratorConfig,
     WorkloadGenerator,
@@ -121,120 +119,6 @@ class TestIngestDifferential:
         )
         via_paths = ingest_log_paths(paths, "cori", mounts, domains=domains)
         assert_stores_identical(via_objects, via_paths, "path entry")
-
-
-def _sharded_copy(store, jobs, *, min_rows=0):
-    """A store sharing the fixture's tables but routed through sharding.
-
-    The session fixtures are shared across the whole suite; mutating
-    their analysis routing would leak sharded contexts into unrelated
-    tests. A shallow copy shares the (read-only) arrays and carries its
-    own routing.
-    """
-    copy = RecordStore(
-        store.platform,
-        store.files,
-        store.jobs,
-        domains=store.domains,
-        extensions=store.extensions,
-        scale=store.scale,
-    )
-    copy.set_analysis_jobs(jobs, min_rows=min_rows)
-    return copy
-
-
-class TestShardedAnalysis:
-    """ShardedAnalysisContext ≡ serial AnalysisContext, bit for bit.
-
-    The serial side runs through the fixture store's own (serial)
-    context; the sharded side through a copy routed at jobs=N with the
-    fan-out threshold forced to 0. One sharded context serves all
-    fifteen entry points, so memo reuse across fan-outs is exercised
-    too. Teardown closes the context and proves no segment leaked.
-    """
-
-    @pytest.fixture(scope="class", params=(2, 4))
-    def sharded_pair(self, request, summit_store_small):
-        copy = _sharded_copy(summit_store_small, request.param)
-        yield summit_store_small, copy, request.param
-        copy.analysis().close()
-        assert fabric.live_segments() == ()
-
-    @pytest.mark.parametrize(
-        "name,fast_fn,legacy_fn", CASES, ids=[c[0] for c in CASES]
-    )
-    def test_entry_points_bit_identical(self, sharded_pair, name, fast_fn, legacy_fn):
-        serial, sharded, jobs = sharded_pair
-        del legacy_fn  # the legacy twin is pinned by test_analysis_equivalence
-        assert_equivalent(
-            fast_fn(serial), fast_fn(sharded), f"{name}[jobs={jobs}]"
-        )
-
-    def test_sharded_context_type_and_fallback(self, summit_store_small):
-        from repro.analysis.sharded import ShardedAnalysisContext
-
-        # The class-scoped sharded_pair context may still be alive, so
-        # leak checks here are relative to a baseline snapshot.
-        before = set(fabric.live_segments())
-        sharded = _sharded_copy(summit_store_small, 2)
-        assert isinstance(sharded.analysis(), ShardedAnalysisContext)
-        # Below the fan-out threshold the same class degrades to the
-        # inherited serial computes — no pool, no segments.
-        tiny = _sharded_copy(summit_store_small, 2, min_rows=10**9)
-        ctx = tiny.analysis()
-        assert isinstance(ctx, ShardedAnalysisContext)
-        assert not ctx._active()
-        np.testing.assert_array_equal(
-            ctx.opclass(), summit_store_small.analysis().opclass()
-        )
-        assert set(fabric.live_segments()) <= before
-
-    def test_raw_layout_mmap_backing(self, summit_store_small, tmp_path):
-        """Sharded analysis over a raw-layout store (workers mmap)."""
-        from repro.store.io import load_store, save_store
-
-        before = set(fabric.live_segments())
-        path = str(tmp_path / "summit.store")
-        save_store(summit_store_small, path)
-        store = load_store(path)
-        assert isinstance(store.files, np.memmap)
-        store.set_analysis_jobs(4, min_rows=0)
-        try:
-            for name, fast_fn, _ in CASES:
-                assert_equivalent(
-                    fast_fn(summit_store_small), fast_fn(store), f"mmap:{name}"
-                )
-        finally:
-            store.analysis().close()
-        assert set(fabric.live_segments()) <= before
-
-    def test_append_after_sharded_context(self, summit_store_small):
-        """The delta-append path extends sharded-computed entries."""
-        before = set(fabric.live_segments())
-        src = summit_store_small
-        cut = len(src.files) - len(src.files) // 5
-        head = RecordStore(
-            src.platform,
-            src.files[:cut].copy(),
-            src.jobs.copy(),
-            domains=src.domains,
-            extensions=src.extensions,
-            scale=src.scale,
-        )
-        head.set_analysis_jobs(3, min_rows=0)
-        try:
-            import repro.analysis as fast
-
-            warm = fast.dataset_summary(head)  # populate sharded memo
-            assert warm is not None
-            head.append(src.files[cut:].copy())
-            for name, fast_fn, _ in CASES:
-                assert_equivalent(
-                    fast_fn(src), fast_fn(head), f"append:{name}"
-                )
-        finally:
-            head.analysis().close()
-        assert set(fabric.live_segments()) <= before
 
 
 class TestCliJobsFlag:

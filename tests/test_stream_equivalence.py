@@ -18,6 +18,11 @@ that claim:
   the same rows folds to the identical result) and checkpoint/resume
   idempotence (interrupting after any batch and resuming from the saved
   checkpoint reproduces the one-pass store exactly).
+* **No escape by fallback** — a fold that raises makes the context drop
+  its memo and recompute cold, which still compares equal. Every append
+  here therefore also proves that each foldable result warmed before it
+  is still memoized afterwards and that no ``analysis.delta_fallback``
+  event fired.
 """
 
 from __future__ import annotations
@@ -27,9 +32,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import analysis as fast
+from repro.analysis.context import foldable_merge
 from repro.instrument.runtime import LogMaterializer
+from repro.obs.tracer import Tracer, set_tracer
 from repro.platforms import cori, summit
+from repro.serve.registry import default_registry
 from repro.store.ingest import ingest_logs
 from repro.store.recordstore import RecordStore
 from repro.store.schema import empty_files, empty_jobs
@@ -111,6 +118,36 @@ def _assert_tables_equal(live: RecordStore, cold: RecordStore, where):
     assert live.domains == cold.domains, where
 
 
+def _folded_keys(context) -> set:
+    """Memo keys of the foldable results ``context`` holds."""
+    return {
+        k for k in context._memo
+        if isinstance(k, tuple) and k[0] == "result" and foldable_merge(k[1])
+    }
+
+
+def _apply_folding(ingestor, logs):
+    """Apply ``logs`` and prove the warm foldable results folded."""
+    context = ingestor.store._analysis
+    if context is None:  # nothing warm yet: a plain append
+        ingestor.apply(logs)
+        return
+    warmed = _folded_keys(context)
+    tracer = Tracer()
+    previous = set_tracer(tracer)
+    try:
+        ingestor.apply(logs)
+    finally:
+        set_tracer(previous)
+    fallbacks = [
+        r.args for r in tracer.records()
+        if r.name == "analysis.delta_fallback"
+    ]
+    assert not fallbacks, fallbacks
+    assert ingestor.store.analysis() is context and not context.stale
+    assert warmed <= _folded_keys(context), warmed - _folded_keys(context)
+
+
 def _schedule(rng, n):
     """A randomized batch schedule mixing single logs and large batches."""
     sizes = []
@@ -135,7 +172,7 @@ class TestRandomizedSchedules:
         applied = 0
         context = None
         for size in _schedule(rng, len(logs)):
-            ingestor.apply(logs[applied:applied + size])
+            _apply_folding(ingestor, logs[applied:applied + size])
             applied += size
             if context is None:
                 # Warm the context now so every later append exercises
@@ -155,7 +192,7 @@ class TestRandomizedSchedules:
         context = None
         applied = 0
         for size in (len(logs) // 2, 1, 1, len(logs) - len(logs) // 2 - 2):
-            ingestor.apply(logs[applied:applied + size])
+            _apply_folding(ingestor, logs[applied:applied + size])
             applied += size
             if context is None:
                 context = live.analysis()
@@ -187,14 +224,9 @@ class TestFoldAssociativity:
     """
 
     FOLDED = [
-        ("layer_volumes", fast.layer_volumes),
-        ("interface_usage", fast.interface_usage),
-        ("file_classification", fast.file_classification),
-        ("file_classification_stdio",
-         lambda s: fast.file_classification(s, stdio_only=True)),
-        ("request_cdfs", fast.request_cdfs),
-        ("request_cdfs_large",
-         lambda s: fast.request_cdfs(s, large_jobs_only=True)),
+        (name, lambda s, spec=spec: spec.run(s, None, {}))
+        for name, spec in sorted(default_registry().items())
+        if spec.foldable
     ]
 
     @given(cuts=st.lists(st.integers(1, N_LOGS - 1), max_size=6))
@@ -209,7 +241,7 @@ class TestFoldAssociativity:
         for name, fn in self.FOLDED:
             fn(live)  # memoize, so later appends must fold it
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            ingestor.apply(logs[lo:hi])
+            _apply_folding(ingestor, logs[lo:hi])
         assert live.analysis() is context
         cold = _batch_store(logs, machine, src)
         for name, fn in self.FOLDED:
@@ -225,7 +257,7 @@ class TestFoldAssociativity:
         ingestor.apply(logs[:split])
         for name, fn in self.FOLDED:
             fn(live)
-        ingestor.apply(logs[split:])
+        _apply_folding(ingestor, logs[split:])
         cold = _batch_store(logs, machine, src)
         for name, fn in self.FOLDED:
             assert_equivalent(fn(live), fn(cold), name)
