@@ -14,8 +14,8 @@ check:
 test:
 	$(PYTEST) -x -q
 
-# Only the pool-spawning tests: sharded generate/ingest/what-if
-# differentials (serial vs jobs=N equivalence) and the shard-fabric units.
+# Only the pool-spawning tests: ingest/what-if differentials (serial vs
+# jobs=N equivalence) and the fabric units.
 parallel:
 	$(PYTEST) -x -q -m parallel
 
@@ -31,11 +31,12 @@ bench:
 bench-analysis:
 	$(PYTEST) -q benchmarks/bench_facility.py
 
-# Just the sharded-generation speedup benchmark; writes BENCH_generate.json.
+# Just the generator and object-path throughput benchmarks.
 bench-generate:
 	$(PYTEST) -q benchmarks/bench_generator.py
 
-# Shard-fabric unit tests: shm hand-off, pipe budget, leak-proof cleanup.
+# Fabric unit tests for ingest/what-if fan-out: sweep arenas, tracker
+# ownership (no worker unlinks an arena), leak-proof cleanup, planners.
 fabric-tests:
 	$(PYTEST) -x -q tests/test_fabric.py
 

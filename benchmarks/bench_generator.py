@@ -6,10 +6,7 @@ population generator and the ingest paths run. Keeps the hot paths honest
 an order-of-magnitude regression).
 """
 
-import os
-import time
-
-from conftest import BENCH_SEED, write_bench_json, write_result
+from conftest import BENCH_SEED, write_result
 
 from repro.instrument import LogMaterializer
 from repro.platforms import cori
@@ -36,56 +33,6 @@ def test_generator_throughput(benchmark, results_dir):
     # Vectorization floor: a per-row Python loop runs ~10-50k rows/s;
     # the batch path must stay two orders of magnitude above that.
     assert rows_per_sec > 100_000
-
-
-def test_sharded_generation_speedup(results_dir):
-    """Serial vs 4-way sharded generation at the default study scale.
-
-    Times one run each (the population is ~3M rows; pytest-benchmark's
-    repeated rounds would dominate the suite) and records the honest
-    numbers — including the core count, since the speedup is only
-    meaningful on a multi-core runner. The floor scales with the
-    machine — ≥ 0.7 · min(jobs, cores), i.e. 70% parallel efficiency —
-    and is asserted where 4 cores exist; on smaller runners the
-    artifact still documents the overhead of the sharded path.
-    """
-    gen = WorkloadGenerator("summit", GeneratorConfig())
-    jobs = 4
-
-    t0 = time.perf_counter()
-    serial = generate_with_shadows(gen, BENCH_SEED, jobs=1)
-    serial_s = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    sharded = generate_with_shadows(gen, BENCH_SEED, jobs=jobs)
-    parallel_s = time.perf_counter() - t0
-
-    assert len(sharded.files) == len(serial.files)
-    speedup = serial_s / parallel_s
-    cores = os.cpu_count() or 1
-    floor = 0.7 * min(jobs, cores)
-    write_bench_json(
-        results_dir,
-        "generate",
-        {
-            "platform": "summit",
-            "scale": gen.config.scale,
-            "rows": len(serial.files),
-            "serial_seconds": round(serial_s, 3),
-            "parallel_seconds": round(parallel_s, 3),
-            "jobs": jobs,
-            "speedup": round(speedup, 3),
-            "speedup_floor": round(floor, 3),
-            "cpu_count": cores,
-            "rows_per_second_serial": round(len(serial.files) / serial_s),
-            "rows_per_second_parallel": round(len(sharded.files) / parallel_s),
-        },
-    )
-    if cores >= 4:
-        assert speedup >= floor, (
-            f"{jobs}-way sharding only {speedup:.2f}x faster "
-            f"(floor {floor:.2f}x on {cores} cores)"
-        )
 
 
 def test_object_path_throughput(benchmark, results_dir):

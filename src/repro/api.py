@@ -85,7 +85,6 @@ def generate_store(
     spec: Mapping | WorkloadSpec | str | None = None,
     scale: float | None = None,
     seed: int = 20220627,
-    jobs: int = 1,
     shadows: bool = True,
 ) -> RecordStore:
     """Synthesize one platform's year as a :class:`RecordStore`.
@@ -101,11 +100,11 @@ def generate_store(
       spec leaves unset (spec fields win); the builtin ``paper_mix``
       spec is byte-identical to the direct path.
 
-    Deterministic in ``seed`` and independent of ``jobs`` (the sharded
-    pipeline is byte-identical for every worker count; ``0`` uses all
-    cores) — for specs this holds by construction, because compilation
-    only produces archetype mixes for the same per-(archetype, group,
-    log-block) RNG substreams. ``shadows`` appends the POSIX shadow rows
+    Deterministic in ``seed`` — for specs by construction, because
+    compilation only produces archetype mixes for the same
+    per-(archetype, group, log-block) RNG substreams. Generation runs
+    in this process; it gained too little from a process pool to keep
+    one (DESIGN.md §8). ``shadows`` appends the POSIX shadow rows
     for MPI-IO files (§3.1 accounting) — the representation every
     analysis and the study pipeline expect; pass ``False`` only to study
     the raw interface rows.
@@ -114,7 +113,7 @@ def generate_store(
         from repro.spec import generate_from_spec
 
         return generate_from_spec(
-            spec, seed=seed, jobs=jobs, shadows=shadows,
+            spec, seed=seed, shadows=shadows,
             platform=platform, scale=scale,
         )
     if platform is None:
@@ -129,8 +128,8 @@ def generate_store(
         platform, GeneratorConfig(scale=1e-3 if scale is None else scale)
     )
     if shadows:
-        return generate_with_shadows(generator, seed, jobs=jobs)
-    return generator.generate(seed, jobs=jobs)
+        return generate_with_shadows(generator, seed)
+    return generator.generate(seed)
 
 
 def list_specs() -> list[str]:

@@ -4,7 +4,7 @@
 
     python -m repro study    --platform summit --scale 1e-3 [--seed N]
     python -m repro shapes   --platform cori   --scale 1e-3
-    python -m repro generate --platform summit --scale 5e-4 --jobs 4 --out year.npz
+    python -m repro generate --platform summit --scale 5e-4 --out year.npz
     python -m repro generate --spec noisy_neighbor --platform cori --out month.npz
     python -m repro generate --archetype sim_checkpoint --out solo.npz
     python -m repro generate --list-specs [--json]
@@ -61,11 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--platform", choices=("summit", "cori"), default="summit")
         p.add_argument("--scale", type=float, default=1e-3)
         p.add_argument("--seed", type=int, default=20220627)
-        p.add_argument(
-            "--jobs", type=int, default=1,
-            help="worker processes for sharded generation "
-                 "(1 = serial, 0 = all cores; output is identical)",
-        )
 
     def traceable(p):
         p.add_argument(
@@ -370,7 +365,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_study(args) -> int:
     study = CharacterizationStudy(
         StudyConfig(seed=args.seed, scale=args.scale,
-                    platforms=(args.platform,), jobs=args.jobs)
+                    platforms=(args.platform,))
     )
     print(study.render(args.platform))
     return 0
@@ -379,7 +374,7 @@ def _cmd_study(args) -> int:
 def _cmd_shapes(args) -> int:
     study = CharacterizationStudy(
         StudyConfig(seed=args.seed, scale=args.scale,
-                    platforms=(args.platform,), jobs=args.jobs)
+                    platforms=(args.platform,))
     )
     # Through the shared registry: the CLI's shape run is the same query
     # `repro serve` answers as "shapes".
@@ -454,7 +449,7 @@ def _cmd_generate(args) -> int:
         try:
             spec = load_spec(source)
             store = generate_from_spec(
-                spec, seed=args.seed, jobs=args.jobs,
+                spec, seed=args.seed,
                 platform=args.platform, scale=args.scale,
             )
         except SpecError as exc:
@@ -463,7 +458,7 @@ def _cmd_generate(args) -> int:
         provenance = f" (spec {spec.name})"
     else:
         gen = WorkloadGenerator(args.platform, GeneratorConfig(scale=args.scale))
-        store = generate_with_shadows(gen, args.seed, jobs=args.jobs)
+        store = generate_with_shadows(gen, args.seed)
         provenance = ""
     save_store(store, args.out)
     print(f"wrote {store!r} to {args.out}{provenance}")

@@ -21,15 +21,10 @@ class StudyConfig:
     seed: int = 20220627  # HPDC '22 opened June 27, 2022
     scale: float = 1e-3
     platforms: tuple[str, ...] = ("summit", "cori")
-    #: Worker processes for sharded generation (1 = serial, 0 = all cores).
-    #: Any value yields the byte-identical store (DESIGN.md §8).
-    jobs: int = 1
 
     def __post_init__(self) -> None:
         if not 0 < self.scale <= 1:
             raise ConfigurationError(f"scale must be in (0, 1], got {self.scale}")
-        if self.jobs < 0:
-            raise ConfigurationError(f"jobs must be >= 0, got {self.jobs}")
         if not self.platforms:
             raise ConfigurationError("at least one platform required")
         for p in self.platforms:

@@ -103,9 +103,7 @@ class CharacterizationStudy:
             )
         if key not in self._stores:
             gen = WorkloadGenerator(key, self.config.generator_config())
-            self._stores[key] = generate_with_shadows(
-                gen, self.config.seed, jobs=self.config.jobs
-            )
+            self._stores[key] = generate_with_shadows(gen, self.config.seed)
         return self._stores[key]
 
     def run(self, platform: str) -> StudyResults:

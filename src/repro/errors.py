@@ -48,7 +48,7 @@ class SchedulerError(ReproError):
 class ShardError(ReproError):
     """A worker of a sharded parallel pipeline failed.
 
-    Carries the failing shard's id so a facility-scale generate/ingest run
+    Carries the failing shard's id so a facility-scale ingest or sweep
     can report *which* slice of the work died (and, for ingest, which log
     file inside it) instead of an anonymous pool traceback.
     """

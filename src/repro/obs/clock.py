@@ -11,7 +11,7 @@ Everything times with :func:`perf_ns` (``time.perf_counter_ns``: the
 highest-resolution monotonic clock the platform offers, integer
 nanoseconds, immune to wall-clock steps). Because ``perf_counter`` has
 an arbitrary per-process origin, spans that must line up *across*
-processes (sharded generate/ingest workers) are anchored once per
+processes (sharded ingest and sweep workers) are anchored once per
 tracer with :func:`wall_anchor_ns` — the wall-clock epoch of this
 process's perf origin — so ``anchor + perf_ns()`` is comparable across
 workers to within wall-clock sync error, while every *duration* stays a

@@ -13,8 +13,7 @@ category       spans
 =============  ==========================================================
 ``cli``        ``cli.study``, ``cli.generate``, ``cli.analyze``, ...
 ``workloads``  ``workloads.generate``, ``workloads.sample_jobs``,
-               ``workloads.shard``, ``workloads.assemble``,
-               ``workloads.shadows``
+               ``workloads.assemble``, ``workloads.shadows``
 ``ingest``     ``ingest.paths``, ``ingest.shard``, ``ingest.logs``
 ``store``      ``store.merge``
 ``parallel``   ``parallel.run`` plus adopted worker tracks (one export

@@ -1,33 +1,25 @@
 """Deterministic process-pool fan-out for the sharded pipelines.
 
-The generate and ingest paths both follow the same recipe: split the work
-into *shards* whose boundaries depend only on the input (never on worker
+Two stages fan out: ingest of a year of serialized logs
+(:func:`repro.store.ingest.ingest_log_paths`) and what-if sweeps
+(:func:`repro.whatif.sweep`). At two workers on a 2-core host they ran
+1.90x and 1.50x faster than serial; sharded generation ran 1.08x and
+was removed (DESIGN.md §8). Both follow the same recipe: split the work into
+*shards* whose boundaries depend only on the input (never on worker
 count or scheduling), run each shard in a worker process, and reassemble
-the shard results **in shard order**. Determinism then rests on two
-invariants this module helps enforce:
+the shard results **in shard order**. Shard boundaries are contiguous,
+cost-balanced slices of the unit list, so the concatenation of shard
+outputs equals the serial iteration order.
 
-* shard boundaries are contiguous, cost-balanced slices of the unit list,
-  so the concatenation of shard outputs equals the serial iteration order;
-* randomness is keyed per *unit* (see the generator's per-block RNG
-  substreams), never per shard, so the sampled population is identical for
-  every worker count.
-
-Two perf disciplines keep the fan-out from eating its own winnings
-(DESIGN.md §12):
-
-* **Zero-copy hand-off** — with ``shm=True`` a worker's RecordStore
-  result travels as a :class:`repro.fabric.StoreRef` header while the
-  table bytes move through shared memory; nothing but headers crosses
-  the pool pipe. The caller supplies ``reduce`` so the parent can merge
-  the shard views and release every segment before returning.
-* **Pool reuse** — one pool per worker count is kept alive for the
-  process (torn down at exit), so a run that fans out repeatedly — a
-  session of what-if sweeps — pays pool startup once, not per call.
+Shard results come back through the pool pipe as ordinary pickles; the
+caller reduces them (ingest merges its shard stores with
+:func:`repro.store.merge.merge_stores`). One pool per worker count is
+kept alive for the process (torn down at exit), so a run that fans out
+repeatedly — a session of what-if sweeps — pays pool startup once.
 
 Worker failures are wrapped in :class:`repro.errors.ShardError` carrying
 the failing shard's id; one bad shard fails the whole run loudly rather
-than silently dropping a slice of the year — and the parent unlinks every
-other shard's shared segment first, so the failure leaks nothing.
+than silently dropping a slice of the year.
 
 When tracing is active (:mod:`repro.obs`), each pool worker runs its
 shard under a fresh tracer and ships the finished span records back
@@ -43,9 +35,9 @@ import atexit
 import multiprocessing
 import os
 import traceback
+from multiprocessing import resource_tracker
 from typing import Callable, Sequence, TypeVar
 
-from repro import fabric
 from repro.errors import ConfigurationError, ShardError
 from repro.obs.integrate import adopt_worker_records, capture_worker
 from repro.obs.tracer import get_tracer, trace_span
@@ -55,13 +47,6 @@ T = TypeVar("T")
 #: Shards per worker: more shards than workers lets the pool rebalance a
 #: straggler, while contiguity keeps reassembly order-deterministic.
 SHARDS_PER_WORKER = 4
-
-#: Start method for the shared pools. ``fork`` is the fast default where
-#: available (no re-import, payloads stay cheap); override with
-#: ``REPRO_MP_START=forkserver|spawn`` for embedders whose main process
-#: cannot be forked safely (threads holding locks, GPU contexts, ...).
-_START_ENV = "REPRO_MP_START"
-
 
 def usable_cores() -> int:
     """Cores this process may actually run on.
@@ -135,10 +120,15 @@ _POOL_CACHE_CAP = 2
 
 
 def _pool_context():
-    method = os.environ.get(_START_ENV)
-    if method:
-        return multiprocessing.get_context(method)
+    """``fork`` where available (no re-import per worker), else the
+    platform default."""
     if "fork" in multiprocessing.get_all_start_methods():
+        # A forked worker inherits the resource tracker only if it is
+        # already running; otherwise each worker starts its own, and the
+        # shared-memory arenas it maps (fabric.attach_cached) get
+        # unlinked — with a warning per name — when that worker exits.
+        # spawn/forkserver start the parent's tracker themselves.
+        resource_tracker.ensure_running()
         return multiprocessing.get_context("fork")
     return multiprocessing.get_context()
 
@@ -146,10 +136,10 @@ def _pool_context():
 def get_pool(processes: int):
     """A shared pool with ``processes`` workers, created once per size.
 
-    Reuse amortizes worker startup across every fan-out of a run (the
-    PR 3 pipeline paid pool construction per call, which on small runs
-    cost more than the sharded work saved). The cache keeps the last
-    couple of sizes; anything older is drained.
+    Reuse amortizes worker startup across every fan-out of a run (a
+    pool built per call cost more than the sharded work saved on small
+    runs). The cache keeps the last couple of sizes; anything older is
+    drained.
     """
     pool = _pools.get(processes)
     if pool is None:
@@ -166,11 +156,6 @@ def _drop_pool(processes: int) -> None:
     pool = _pools.pop(processes, None)
     if pool is not None:
         pool.terminate()
-
-
-def pool_map(processes: int, fn, tasks: list) -> list:
-    """``pool.map`` through the shared pool cache."""
-    return get_pool(processes).map(fn, tasks)
 
 
 def shutdown_pools() -> None:
@@ -190,19 +175,13 @@ def _invoke(args: tuple) -> tuple:
     ``capture`` asks the worker to trace the shard under a fresh tracer
     and return the span records alongside the value (``None`` when
     tracing is off or the shard ran inline under the parent's tracer).
-    ``encode`` moves a RecordStore result's tables into shared memory
-    and returns the :class:`repro.fabric.StoreRef` header in its place —
-    the pickle crossing the pipe stays a few hundred bytes per shard no
-    matter how many million rows the shard produced.
     """
-    fn, shard_id, payload, capture, encode = args
+    fn, shard_id, payload, capture = args
     try:
         if capture:
             value, records = capture_worker(fn, payload)
         else:
             value, records = fn(payload), None
-        if encode:
-            value = _encode_value(value)
         return ("ok", shard_id, value, records)
     except Exception as exc:  # noqa: BLE001 - reported via ShardError
         return (
@@ -213,112 +192,45 @@ def _invoke(args: tuple) -> tuple:
         )
 
 
-def _encode_value(value):
-    from repro.store.recordstore import RecordStore
-
-    if isinstance(value, tuple):
-        # Compound results (the what-if sweep's (report, store) pairs)
-        # encode elementwise: each RecordStore member rides shm, the
-        # rest pickle as usual.
-        return tuple(_encode_value(v) for v in value)
-    if isinstance(value, RecordStore):
-        return fabric.export_store(value)
-    return value
-
-
-def _decode_value(value, segments: list):
-    if isinstance(value, tuple):
-        return tuple(_decode_value(v, segments) for v in value)
-    if isinstance(value, fabric.StoreRef):
-        store, shm = fabric.import_store(value)
-        segments.append(shm)
-        return store
-    return value
-
-
-def _segment_names(value):
-    """Shm segment names behind a decoded-able result value, if any."""
-    if isinstance(value, tuple):
-        for v in value:
-            yield from _segment_names(v)
-    elif isinstance(value, fabric.StoreRef):
-        yield value.tables.name
-
-
 def run_sharded(
-    fn: Callable[[object], T],
-    payloads: Sequence[object],
-    *,
-    jobs: int | None,
-    shm: bool = False,
-    reduce: Callable[[list[T]], object] | None = None,
-):
+    fn: Callable[[object], T], payloads: Sequence[object], *, jobs: int | None
+) -> list[T]:
     """Run ``fn`` over each payload, fanning out across ``jobs`` processes.
 
     Results come back ordered by shard index regardless of completion
     order. ``fn`` must be a module-level (picklable) callable. With
     ``jobs`` ≤ 1 or a single payload everything runs inline — the serial
     and parallel code paths are literally the same function applications.
-
-    ``shm=True`` routes RecordStore results through the shared-memory
-    fabric instead of the pool pipe; it requires ``reduce``, which runs
-    over the zero-copy shard views while the segments are still mapped —
-    every segment is closed and unlinked before this function returns
-    (success or failure), so the reduced value must not alias shard
-    memory (:func:`repro.store.merge.merge_stores` copies, and is the
-    intended reducer).
     """
-    if shm and reduce is None:
-        raise ConfigurationError("run_sharded(shm=True) requires a reduce callable")
     njobs = resolve_jobs(jobs)
     inline = njobs <= 1 or len(payloads) <= 1
     # Workers trace into their own stores and ship records back; inline
     # shards run under the parent's already-active tracer directly.
     capture = not inline and get_tracer() is not None
-    encode = shm and not inline
-    tasks = [(fn, i, p, capture, encode) for i, p in enumerate(payloads)]
+    tasks = [(fn, i, p, capture) for i, p in enumerate(payloads)]
     if inline:
         results = [_invoke(t) for t in tasks]
     else:
         with trace_span("parallel.run", "parallel") as sp:
             if sp is not None:
-                sp.add(jobs=njobs, shards=len(tasks), shm=encode)
+                sp.add(jobs=njobs, shards=len(tasks))
             nproc = min(njobs, len(tasks))
             try:
-                results = pool_map(nproc, _invoke, tasks)
-            except ShardError:
-                raise
+                results = get_pool(nproc).map(_invoke, tasks)
             except Exception:
                 # A lost worker breaks the whole pool object, not just
                 # the call; drop it so the next run starts clean.
                 _drop_pool(nproc)
                 raise
-    segments: list = []
     out: list[T] = [None] * len(tasks)  # type: ignore[list-item]
-    try:
-        for res in results:
-            if res[0] == "err":
-                _, shard_id, message, tb = res
-                err = ShardError(shard_id, message)
-                err.worker_traceback = tb
-                raise err
-            _, shard_id, value, records = res
-            if records:
-                adopt_worker_records(records, shard_id)
-            out[shard_id] = _decode_value(value, segments)
-        return reduce(out) if reduce is not None else out
-    except BaseException:
-        # One bad shard (or a failing reduce) must not strand the other
-        # shards' /dev/shm segments: close what we mapped, unlink what
-        # we never got to.
-        mapped = {s.name for s in segments}
-        for res in results:
-            if res[0] != "ok":
-                continue
-            for name in _segment_names(res[2]):
-                if name not in mapped:
-                    fabric.unlink_by_name(name)
-        raise
-    finally:
-        for shm_seg in segments:
-            fabric.release(shm_seg, unlink=True)
+    for res in results:
+        if res[0] == "err":
+            _, shard_id, message, tb = res
+            err = ShardError(shard_id, message)
+            err.worker_traceback = tb
+            raise err
+        _, shard_id, value, records = res
+        if records:
+            adopt_worker_records(records, shard_id)
+        out[shard_id] = value
+    return out

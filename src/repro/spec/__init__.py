@@ -6,8 +6,8 @@ The spec subsystem in three layers:
   its strict, field-path-reporting validation (:func:`load_spec`);
 * :mod:`repro.spec.compile` — lowering to the generator's native mix /
   machine / perf-model inputs (:func:`compile_spec`,
-  :func:`generate_from_spec`), preserving seed determinism and
-  ``--jobs`` shard-invariance by construction;
+  :func:`generate_from_spec`), preserving seed determinism by
+  construction;
 * :mod:`repro.spec.packs` — the builtin scenario packs
   (:func:`pack_catalog`), including the byte-identical ``paper_mix``.
 """

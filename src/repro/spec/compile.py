@@ -16,7 +16,7 @@ already consumes:
 Nothing else changes, which is the whole determinism argument: the
 generator keys all file randomness per (archetype-name, group-name,
 log-block) RNG substream, so a compiled spec inherits seed determinism
-and ``--jobs`` shard-invariance *by construction* (DESIGN.md §15). In
+*by construction* (DESIGN.md §15). In
 particular the builtin ``paper_mix`` spec compiles to the identical
 (mix, config, machine=None, perf=None) tuple the direct archetype path
 uses, hence a byte-identical store.
@@ -504,19 +504,15 @@ class CompiledSpec:
         )
 
     def generate(
-        self,
-        seed: int = DEFAULT_SEED,
-        *,
-        jobs: int = 1,
-        shadows: bool = True,
+        self, seed: int = DEFAULT_SEED, *, shadows: bool = True
     ) -> RecordStore:
-        """Generate the spec's store (deterministic, jobs-invariant)."""
+        """Generate the spec's store (deterministic in ``seed``)."""
         from repro.workloads.generator import generate_with_shadows
 
         generator = self.generator()
         if shadows:
-            return generate_with_shadows(generator, seed, jobs=jobs)
-        return generator.generate(seed, jobs=jobs)
+            return generate_with_shadows(generator, seed)
+        return generator.generate(seed)
 
 
 def _scale_intensity(spec: ArchetypeSpec, intensity: float) -> ArchetypeSpec:
@@ -589,11 +585,10 @@ def generate_from_spec(
     source: Mapping | WorkloadSpec | str,
     *,
     seed: int = DEFAULT_SEED,
-    jobs: int = 1,
     shadows: bool = True,
     platform: str | None = None,
     scale: float | None = None,
 ) -> RecordStore:
     """Compile ``source`` and generate its store in one step."""
     compiled = compile_spec(source, platform=platform, scale=scale)
-    return compiled.generate(seed, jobs=jobs, shadows=shadows)
+    return compiled.generate(seed, shadows=shadows)

@@ -27,8 +27,8 @@ scale factor. :mod:`repro.spec.compile` lowers the validated spec onto
 the existing generator: every phase becomes ordinary
 :class:`~repro.workloads.archetypes.ArchetypeSpec` entries of the
 generator's mix, so all randomness still flows through the
-per-(archetype, group, log-block) RNG substreams and determinism plus
-``--jobs`` shard-invariance hold by construction (DESIGN.md §15).
+per-(archetype, group, log-block) RNG substreams and seed determinism
+holds by construction (DESIGN.md §15).
 
 Validation here is deliberately strict: unknown keys and out-of-range
 values raise :class:`~repro.errors.SpecError` carrying the dotted field

@@ -242,14 +242,10 @@ def ingest_log_paths(
             (paths[sl], platform, mounts, tuple(domains), tuple(extensions), scale)
             for sl in slices
         ]
-        # Shard stores travel as shared-memory headers, never pickled
-        # payloads; the merge copies, then every segment is unlinked.
-        return run_sharded(
-            _ingest_shard, payloads, jobs=njobs, shm=True,
-            reduce=lambda shards: merge_stores(
-                shards, remap_log_ids=True, nlogs_rule="sum"
-            ),
-        )
+        # Shard stores return as plain pickles: parsing dominates ingest,
+        # and a shared-memory hand-off measured no faster (DESIGN.md §12).
+        shards = run_sharded(_ingest_shard, payloads, jobs=njobs)
+        return merge_stores(shards, remap_log_ids=True)
 
 
 def _op_count(rec, direction: str) -> int:

@@ -1,8 +1,9 @@
 """Merging shard-local RecordStores into one global store.
 
-The sharded generate/ingest pipelines build one :class:`RecordStore` per
-shard, each with its own extension catalog and (for ingest) its own dense
-``log_id`` space. This module reassembles them deterministically:
+Sharded ingest builds one :class:`RecordStore` per shard, each with its
+own extension catalog and its own dense ``log_id`` space; federation
+merges member stores the same way. This module reassembles them
+deterministically:
 
 * **Catalog union** — domain and extension catalogs are unioned in
   first-seen order across shards (shard order, then catalog order), and
@@ -16,13 +17,11 @@ shard, each with its own extension catalog and (for ingest) its own dense
   global serial enumeration exactly — including id gaps left by logs
   that contributed no file rows.
 * **Job rows** — the same physical job may appear in several shards (its
-  logs split across shards, or generator shards each carrying the full
-  job table). Duplicate job ids are merged: static attributes must agree,
-  ``used_bb`` is OR-ed, and ``nlogs`` follows ``nlogs_rule`` — ``"max"``
-  for generator shards (each shard reports the job's full log count) and
-  ``"sum"`` for ingest shards (each shard saw a subset of the logs).
-  Alternatively ``remap_job_ids=True`` treats shards as independent
-  populations and renumbers jobs densely instead of merging.
+  logs split across shards). Duplicate job ids are merged: static
+  attributes must agree, ``used_bb`` is OR-ed, and ``nlogs`` is summed
+  (each shard saw a subset of the job's logs). Alternatively
+  ``remap_job_ids=True`` treats shards as independent populations and
+  renumbers jobs densely instead of merging.
 
 The merged store is a fresh object at generation 0 with its own (empty)
 analysis cache; the shard stores are never mutated.
@@ -87,9 +86,7 @@ def _remap_log_ids(files: np.ndarray, jobs: np.ndarray, base: int) -> int:
     return width
 
 
-def _merge_job_tables(
-    jobs_parts: list[np.ndarray], nlogs_rule: str
-) -> np.ndarray:
+def _merge_job_tables(jobs_parts: list[np.ndarray]) -> np.ndarray:
     """Merge job rows across shards, deduplicating by ``job_id``."""
     allj = np.concatenate(jobs_parts)
     if not len(allj):
@@ -106,10 +103,7 @@ def _merge_job_tables(
                 "merge independent populations)"
             )
     merged["used_bb"] = np.maximum.reduceat(sj["used_bb"], first)
-    if nlogs_rule == "sum":
-        merged["nlogs"] = np.add.reduceat(sj["nlogs"], first)
-    else:
-        merged["nlogs"] = np.maximum.reduceat(sj["nlogs"], first)
+    merged["nlogs"] = np.add.reduceat(sj["nlogs"], first)
     return merged
 
 
@@ -118,7 +112,6 @@ def merge_stores(
     *,
     remap_log_ids: bool = False,
     remap_job_ids: bool = False,
-    nlogs_rule: str = "max",
 ) -> RecordStore:
     """Merge shard-local stores into one store (see module docstring)."""
     stores = list(stores)
@@ -131,7 +124,6 @@ def merge_stores(
             stores,
             remap_log_ids=remap_log_ids,
             remap_job_ids=remap_job_ids,
-            nlogs_rule=nlogs_rule,
         )
 
 
@@ -140,10 +132,7 @@ def _merge_stores(
     *,
     remap_log_ids: bool,
     remap_job_ids: bool,
-    nlogs_rule: str,
 ) -> RecordStore:
-    if nlogs_rule not in ("max", "sum"):
-        raise StoreError(f"nlogs_rule must be 'max' or 'sum', got {nlogs_rule!r}")
     first = stores[0]
     for s in stores[1:]:
         if s.schema_version != first.schema_version:
@@ -181,9 +170,7 @@ def _merge_stores(
         if remap_log_ids:
             log_base += _remap_log_ids(part, s.jobs, log_base)
         # Copy a shard's job table only when it must be rewritten; the
-        # read-only case concatenates below anyway, and with shm-backed
-        # shard views the skipped copy keeps the hand-off zero-copy
-        # until the single final concatenation.
+        # read-only case concatenates below anyway.
         jobs = s.jobs
         if remap_job_ids:
             jobs = jobs.copy()  # job ids are rewritten in place below
@@ -204,7 +191,7 @@ def _merge_stores(
     if remap_job_ids:
         merged_jobs = np.concatenate(jobs_parts)
     else:
-        merged_jobs = _merge_job_tables(jobs_parts, nlogs_rule)
+        merged_jobs = _merge_job_tables(jobs_parts)
     return RecordStore(
         first.platform,
         files,

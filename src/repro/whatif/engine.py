@@ -27,10 +27,10 @@ every scenario share one code path with no special cases.
 
 Sweeps fan points across the process pool
 (:func:`repro.parallel.run_sharded`): the file table travels to workers
-through the zero-copy fabric (an ``mmap`` of the store's raw layout, or
-one shared-memory copy), each sweep point is computed wholly inside one
-worker, and materialized scenario stores come back as shared-memory
-:class:`~repro.fabric.StoreRef` headers. Point independence plus the
+without crossing the pool pipe (an ``mmap`` of the store's raw layout,
+or one shared-memory :class:`~repro.fabric.Arena` copy), each sweep
+point is computed wholly inside one worker, and only the small
+:class:`WhatIfReport` comes back. Point independence plus the
 deterministic math make results worker-count-invariant byte for byte.
 """
 
@@ -357,16 +357,15 @@ def sweep(
     points: Sequence[Mapping | None],
     *,
     jobs: int | None = None,
-    materialize: bool = False,
-) -> list:
+) -> list[WhatIfReport]:
     """Replay a scenario at every parameter point, fanning out over the pool.
 
-    Returns one :class:`WhatIfReport` per point, in point order; with
-    ``materialize=True`` each element is ``(report, RecordStore)``. The
+    Returns one :class:`WhatIfReport` per point, in point order. The
     baseline metrics are computed once (in the parent) and shared by
     every point. Results are byte-identical for every worker count:
     each point is computed wholly inside one worker from the same
-    shared rows, and the math is deterministic.
+    shared rows, and the math is deterministic. For a point's re-timed
+    store, call :func:`materialize`.
     """
     from repro.parallel import resolve_jobs, run_sharded
 
@@ -385,33 +384,19 @@ def sweep(
             store.scale, store.platform,
         )
         if njobs <= 1 or len(plans) <= 1:
-            out = []
-            for plan in plans:
-                report, scn_files = _point(store.files, store.jobs, store.scale,
-                                           store.platform, plan,
-                                           baseline=baseline)
-                if materialize:
-                    out.append((report, RecordStore(
-                        store.platform, scn_files, store.jobs.copy(),
-                        domains=store.domains, extensions=store.extensions,
-                        scale=store.scale,
-                    )))
-                else:
-                    out.append(report)
-            return out
+            return [
+                _point(store.files, store.jobs, store.scale, store.platform,
+                       plan, baseline=baseline)[0]
+                for plan in plans
+            ]
 
         backing, arena = _export_backing(store)
         try:
             payloads = [
-                (backing, store.jobs, store.platform, store.scale,
-                 store.domains, store.extensions, plan, baseline, materialize)
+                (backing, store.jobs, store.platform, store.scale, plan,
+                 baseline)
                 for plan in plans
             ]
-            if materialize:
-                return run_sharded(
-                    _sweep_shard, payloads, jobs=njobs, shm=True,
-                    reduce=_copy_out,
-                )
             return run_sharded(_sweep_shard, payloads, jobs=njobs)
         finally:
             if arena is not None:
@@ -445,30 +430,15 @@ def _open_rows(backing) -> np.ndarray:
 def _sweep_shard(payload):
     """Pool worker: one sweep point, end to end. Module-level so it
     pickles under any start method."""
-    (backing, jobs, platform, scale, domains, extensions,
-     plan, baseline, want_store) = payload
+    backing, jobs, platform, scale, plan, baseline = payload
     with trace_span("whatif.shard", "whatif") as sp:
         if sp is not None:
             sp.add(scenario=plan.scenario)
         files = _open_rows(backing)
-        report, scn_files = _point(
-            files, jobs, scale, platform, plan, baseline=baseline
-        )
-        if not want_store:
-            return report
-        return (report, RecordStore(
-            platform, scn_files, jobs.copy(),
-            domains=domains, extensions=extensions, scale=scale,
-        ))
-
-
-def _copy_out(results: list) -> list:
-    """Reduce for materialized sweeps: copy each store out of its shard's
-    shared-memory segment before run_sharded unlinks it."""
-    out = []
-    for report, s in results:
-        out.append((report, RecordStore(
-            s.platform, s.files.copy(), s.jobs.copy(),
-            domains=s.domains, extensions=s.extensions, scale=s.scale,
-        )))
-    return out
+        with trace_span("whatif.point", "whatif") as pt:
+            if pt is not None:
+                pt.add(scenario=plan.scenario, rows=len(files))
+            report, _ = _point(
+                files, jobs, scale, platform, plan, baseline=baseline
+            )
+        return report

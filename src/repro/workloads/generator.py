@@ -46,11 +46,11 @@ TARGET_JOBS = {"summit": 281_600, "cori": 749_500}
 #: happens for the rare giant files where that is physically accurate).
 MAX_OPS_PER_FILE = 2_000_000
 
-#: Logs per file-generation RNG block. Randomness is keyed per
-#: (archetype, group, block) — never per shard — so any sharding of the
-#: block list samples the identical population (DESIGN.md §8). Small
-#: enough to give the pool balance slack, large enough that per-block
-#: stream setup is noise.
+#: Logs per file-generation RNG block. Randomness is keyed by name per
+#: (archetype, group, block) unit, so no unit's stream depends on
+#: another unit's draws (DESIGN.md §8, §15); spec goldens and the
+#: ``paper_mix`` byte-identity rest on this. Large enough that
+#: per-block stream setup is noise.
 LOGS_PER_BLOCK = 128
 
 
@@ -119,15 +119,13 @@ def _consistent_histograms(
 
 @dataclass(frozen=True)
 class _FileUnit:
-    """One RNG block of one (archetype, file-group): the unit of sharding."""
+    """One RNG block of one (archetype, file-group): the unit of generation."""
 
     archetype: int
     group: int
     block: int
     log_lo: int
     log_hi: int
-    #: Expected file rows (for cost-balanced shard planning).
-    cost: float
 
 
 @dataclass
@@ -192,46 +190,21 @@ class WorkloadGenerator:
         self._ext_code = {e: i for i, e in enumerate(self.extensions)}
 
     # ------------------------------------------------------------------
-    def generate(
-        self, seed_or_hub: int | RngHub, *, jobs: int | None = None
-    ) -> RecordStore:
+    def generate(self, seed_or_hub: int | RngHub) -> RecordStore:
         """Generate the synthetic year. Deterministic in the seed.
 
-        ``jobs`` fans file-row generation out over a process pool; the
-        result is byte-identical for every worker count because all
-        randomness is keyed per (archetype, group, log-block) unit and
-        shards are contiguous slices of the unit list (DESIGN.md §8).
+        File-row randomness is keyed per (archetype, group, log-block)
+        unit (:data:`LOGS_PER_BLOCK`; DESIGN.md §8, §15).
         """
-        from repro.parallel import (
-            SHARDS_PER_WORKER,
-            contiguous_shards,
-            resolve_jobs,
-            run_sharded,
-        )
-        from repro.store.merge import merge_stores
-
         hub = seed_or_hub if isinstance(seed_or_hub, RngHub) else RngHub(seed_or_hub)
         hub = hub.child(f"workload.{self.platform}")
 
         with trace_span("workloads.generate", "workloads") as sp:
             batches = self._sample_jobs(hub)
             units = self._plan_units(batches)
-            njobs = resolve_jobs(jobs)
             if sp is not None:
-                sp.add(platform=self.platform, jobs=njobs, units=len(units))
-            if njobs <= 1 or len(units) <= 1:
-                return self._generate_shard_store(hub, batches, units)
-            slices = contiguous_shards(
-                [u.cost for u in units], njobs * SHARDS_PER_WORKER
-            )
-            payloads = [(self, hub, units[sl]) for sl in slices]
-            # Shard tables come back through the shared-memory fabric
-            # (headers on the pipe, bytes in /dev/shm); merge_stores
-            # copies into the final store, then the segments are freed.
-            return run_sharded(
-                _generate_shard, payloads, jobs=njobs, shm=True,
-                reduce=lambda shards: merge_stores(shards, nlogs_rule="max"),
-            )
+                sp.add(platform=self.platform, units=len(units))
+            return self._assemble(hub, batches, units)
 
     def _plan_units(self, batches: list[_JobBatch | None]) -> list[_FileUnit]:
         """The deterministic unit list: every (archetype, group, block)."""
@@ -245,9 +218,7 @@ class WorkloadGenerator:
             for gi, group in enumerate(spec.groups):
                 for b, lo in enumerate(range(0, nlogs, LOGS_PER_BLOCK)):
                     hi = min(lo + LOGS_PER_BLOCK, nlogs)
-                    units.append(
-                        _FileUnit(ai, gi, b, lo, hi, (hi - lo) * group.files_per_run)
-                    )
+                    units.append(_FileUnit(ai, gi, b, lo, hi))
         return units
 
     def _generate_unit(
@@ -266,19 +237,13 @@ class WorkloadGenerator:
             spec, group, batch, rng, unit.log_lo, unit.log_hi
         )
 
-    def _generate_shard_store(
+    def _assemble(
         self,
         hub: RngHub,
         batches: list[_JobBatch | None],
         units: list[_FileUnit],
     ) -> RecordStore:
-        """One shard's store: its units' file rows plus the full job table.
-
-        Every shard carries the complete job table (job sampling is global
-        and cheap); :func:`repro.store.merge.merge_stores` deduplicates the
-        rows and ORs the shard-local ``used_bb`` flags. With the full unit
-        list this *is* the serial generate path.
-        """
+        """The store: every unit's file rows plus the job table."""
         with trace_span("workloads.assemble", "workloads") as sp:
             file_tables = []
             for unit in units:
@@ -650,25 +615,8 @@ class WorkloadGenerator:
         return jobs[np.argsort(jobs["job_id"], kind="stable")]
 
 
-def _generate_shard(payload) -> RecordStore:
-    """Pool worker: regenerate the (cheap, global) job plan, then the
-    shard's file units. Module-level so it pickles under any start method."""
-    generator, hub, units = payload
-    with trace_span("workloads.shard", "workloads") as sp:
-        if sp is not None:
-            sp.add(platform=generator.platform, units=len(units))
-        batches = generator._sample_jobs(hub)
-        store = generator._generate_shard_store(hub, batches, list(units))
-        if sp is not None:
-            sp.add(rows=len(store.files))
-        return store
-
-
 def generate_with_shadows(
-    generator: WorkloadGenerator,
-    seed_or_hub: int | RngHub,
-    *,
-    jobs: int | None = None,
+    generator: WorkloadGenerator, seed_or_hub: int | RngHub
 ) -> RecordStore:
     """Generate a store and append the POSIX shadow rows for MPI-IO files.
 
@@ -676,7 +624,7 @@ def generate_with_shadows(
     be tested against both representations; the study pipeline always uses
     this function.
     """
-    store = generator.generate(seed_or_hub, jobs=jobs)
+    store = generator.generate(seed_or_hub)
     with trace_span("workloads.shadows", "workloads") as sp:
         mpiio = store.files[store.files["interface"] == int(IOInterface.MPIIO)]
         if sp is not None:

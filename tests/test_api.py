@@ -45,7 +45,7 @@ SIGNATURES = {
         "(platform: 'str | None' = None, *, "
         "spec: 'Mapping | WorkloadSpec | str | None' = None, "
         "scale: 'float | None' = None, "
-        "seed: 'int' = 20220627, jobs: 'int' = 1, "
+        "seed: 'int' = 20220627, "
         "shadows: 'bool' = True) -> 'RecordStore'"
     ),
     "run_query": (

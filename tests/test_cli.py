@@ -47,6 +47,16 @@ class TestGenerateAnalyze:
         with pytest.raises(FileNotFoundError):
             main(["analyze", str(tmp_path / "nope.npz")])
 
+    @pytest.mark.parametrize("command", ["generate", "study", "shapes"])
+    def test_generation_takes_no_jobs_flag(self, command, tmp_path, capsys):
+        """Generation runs serially; only ingest and what-if fan out."""
+        argv = [command, "--scale", "5e-5", "--jobs", "2"]
+        if command == "generate":
+            argv += ["--out", str(tmp_path / "s.npz")]
+        with pytest.raises(SystemExit):
+            main(argv)
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
 
 class TestAdviseReplay:
     @pytest.fixture(scope="class")

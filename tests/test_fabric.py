@@ -1,24 +1,25 @@
-"""Shard-fabric tests: shm hand-off, pickle budget, leak-proof cleanup.
+"""Process-pool fabric tests: arenas, tracker ownership, fan-out, planners.
 
-The zero-copy contract has three enforceable edges: (1) only headers
-cross the pool pipe — the pickled shard result stays under a fixed
-byte budget no matter how many rows the shard produced; (2) every
-shared-memory segment is unlinked by the time a sharded call returns,
-on success *and* on failure (a worker raising, a reduce raising); (3)
-the planner helpers behind the fan-out keep their determinism-bearing
-edge cases. ``/dev/shm`` is inspected directly where the platform has
-one, so a leak cannot hide behind the module's own bookkeeping.
+Three enforceable edges: (1) every sweep arena is unlinked when its
+owner closes it, even with the mapping pinned, and no pool worker's
+mapping takes unlink ownership — a pooled sweep must exit without a
+``resource_tracker`` complaint; (2) ``run_sharded`` returns shard
+results in shard order and names a failing shard; (3) the planner
+helpers behind the fan-out keep their determinism-bearing edge cases. ``/dev/shm`` is inspected directly where the platform has one,
+so a leak cannot hide behind the module's own bookkeeping.
 """
 
 from __future__ import annotations
 
 import os
-import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 
-from repro import fabric, parallel
+from repro import fabric
 from repro.errors import ConfigurationError, ShardError
 from repro.parallel import (
     contiguous_shards,
@@ -31,43 +32,11 @@ from repro.store.schema import empty_files, empty_jobs
 
 pytestmark = pytest.mark.parallel
 
-#: Upper bound on the pickled per-shard result crossing the pool pipe
-#: when shm hand-off is active: a StoreRef (catalog names + table
-#: headers), not row bytes. Intentionally far below the smallest real
-#: shard payload (a 10k-row shard pickles to ~2.6 MB).
-PIPE_BUDGET = 16 * 1024
-
 
 def _shm_entries() -> list[str]:
     if not os.path.isdir("/dev/shm"):  # pragma: no cover - non-Linux
         return []
     return [n for n in os.listdir("/dev/shm") if fabric.SEGMENT_PREFIX in n]
-
-
-def _make_store(nrows: int) -> RecordStore:
-    files = empty_files(nrows)
-    files["job_id"] = np.arange(nrows) % 7
-    files["bytes_read"] = np.arange(nrows, dtype=np.int64) * 3
-    files["rank"] = np.where(np.arange(nrows) % 5 == 0, -1, 0)
-    jobs = empty_jobs(7)
-    jobs["job_id"] = np.arange(7)
-    jobs["nprocs"] = 16
-    return RecordStore("summit", files, jobs, scale=1.0)
-
-
-def _store_shard(payload) -> RecordStore:
-    """Pool worker: build a shard store, or fail on request."""
-    if payload == "boom":
-        raise ValueError("injected shard failure")
-    return _make_store(int(payload))
-
-
-def _concat_reduce(shards):
-    return RecordStore.concat(shards)
-
-
-def _boom_reduce(shards):
-    raise RuntimeError("injected reduce failure")
 
 
 @pytest.fixture(autouse=True)
@@ -78,55 +47,7 @@ def _no_leaks():
     assert _shm_entries() == []
 
 
-class TestExportImport:
-    def test_tables_round_trip(self):
-        arrays = [
-            np.arange(1000, dtype=np.int64),
-            np.linspace(0, 1, 33).reshape(11, 3),
-            np.zeros(0, dtype=np.float32),
-        ]
-        ref = fabric.export_tables(arrays)
-        views, shm = fabric.import_tables(ref)
-        try:
-            for a, v in zip(arrays, views):
-                assert v.dtype == a.dtype and v.shape == a.shape
-                np.testing.assert_array_equal(v, a)
-        finally:
-            fabric.release(shm)
-
-    def test_structured_store_round_trip(self):
-        store = _make_store(500)
-        ref = fabric.export_store(store)
-        out, shm = fabric.import_store(ref)
-        try:
-            np.testing.assert_array_equal(out.files, store.files)
-            np.testing.assert_array_equal(out.jobs, store.jobs)
-            assert out.platform == store.platform
-            assert out.scale == store.scale
-        finally:
-            fabric.release(shm)
-
-    def test_release_unlinks_even_when_close_is_blocked(self):
-        """Unlink-before-close: a pinned buffer cannot turn into a leak.
-
-        A raw memoryview slice holds a live buffer export, so the
-        ``close()`` inside ``release`` raises ``BufferError`` — but the
-        name must already be unlinked by then. (numpy views do *not*
-        pin the mapping: ``np.ndarray(buffer=...)`` drops its buffer
-        export after construction, so ``close()`` silently unmaps under
-        them — which is why callers must copy before release, and why
-        this test pins with a memoryview instead of an array.)
-        """
-        ref = fabric.export_tables([np.arange(64)])
-        views, shm = fabric.import_tables(ref)
-        del views
-        pin = shm.buf[:8]
-        fabric.release(shm)  # close blocked by the pin; unlink was first
-        assert fabric.live_segments() == ()
-        assert _shm_entries() == []
-        pin.release()
-        shm.close()  # now unmappable; the name is already gone
-
+class TestArena:
     def test_arena_round_trip(self):
         arena = fabric.Arena(np.int32, (100,))
         try:
@@ -136,57 +57,83 @@ class TestExportImport:
         finally:
             arena.close()
 
+    def test_close_unlinks_even_when_blocked(self):
+        """Unlink-before-close: a pinned buffer cannot turn into a leak.
 
-class TestPipeBudget:
-    def test_encoded_shard_result_pickles_small(self):
-        """Regression guard: only headers cross the pipe with shm on."""
-        task = (_store_shard, 0, 200_000, False, True)
-        status, shard_id, value, records = parallel._invoke(task)
-        try:
-            assert status == "ok"
-            assert isinstance(value, fabric.StoreRef)
-            blob = pickle.dumps((status, shard_id, value, records))
-            assert len(blob) < PIPE_BUDGET, len(blob)
-            # And the bytes it replaced really were payload-sized.
-            assert _make_store(200_000).files.nbytes > 100 * PIPE_BUDGET
-        finally:
-            fabric.unlink_by_name(value.tables.name)
+        A raw memoryview slice holds a live buffer export, so the
+        mapping's ``close()`` raises ``BufferError`` — but the name must
+        already be unlinked by then. (numpy views do *not* pin the
+        mapping, which is why this test pins with a memoryview.)
+        """
+        arena = fabric.Arena(np.int64, (64,))
+        shm = arena._shm
+        pin = shm.buf[:8]
+        arena.close()  # close blocked by the pin; unlink was first
+        assert fabric.live_segments() == ()
+        assert _shm_entries() == []
+        pin.release()
+        shm.close()  # now unmappable; the name is already gone
 
 
-class TestShardedCleanup:
-    def test_success_path_unlinks_everything(self):
-        merged = run_sharded(
-            _store_shard, [100, 200, 300], jobs=2, shm=True,
-            reduce=_concat_reduce,
-        )
-        assert len(merged.files) == 600
-        # reduce copied: the merged store must not alias dead shm.
-        assert int(merged.files["bytes_read"][50]) == 150
+def _store_shard(payload) -> RecordStore:
+    """Pool worker: build a shard store, or fail on request."""
+    if payload == "boom":
+        raise ValueError("injected shard failure")
+    nrows = int(payload)
+    files = empty_files(nrows)
+    files["bytes_read"] = np.arange(nrows, dtype=np.int64) * 3
+    return RecordStore("summit", files, empty_jobs(0), scale=1.0)
 
-    def test_failing_shard_unlinks_survivors(self):
+
+class TestShardedRun:
+    def test_results_in_shard_order(self):
+        """Shard stores come back through the pipe, in payload order."""
+        out = run_sharded(_store_shard, [100, 200, 300], jobs=2)
+        assert [len(s.files) for s in out] == [100, 200, 300]
+        assert int(out[1].files["bytes_read"][50]) == 150
+
+    def test_failing_shard_raises_shard_error(self):
         with pytest.raises(ShardError) as err:
-            run_sharded(
-                _store_shard, [100, "boom", 300], jobs=2, shm=True,
-                reduce=_concat_reduce,
-            )
+            run_sharded(_store_shard, [100, "boom", 300], jobs=2)
+        assert err.value.shard_id == 1
         assert "injected shard failure" in str(err.value)
 
-    def test_failing_reduce_unlinks_everything(self):
-        with pytest.raises(RuntimeError):
-            run_sharded(
-                _store_shard, [100, 200], jobs=2, shm=True,
-                reduce=_boom_reduce,
-            )
 
-    def test_shm_requires_reduce(self):
-        with pytest.raises(ConfigurationError):
-            run_sharded(_store_shard, [10, 10], jobs=2, shm=True)
+#: A warm pool forked before anything started the resource tracker,
+#: then two pooled sweeps over a shared-memory arena. A worker whose
+#: mapping registers with a worker-private tracker makes that tracker
+#: unlink the arena at exit and warn about "leaked" segments.
+_TWO_SWEEPS = textwrap.dedent("""
+    from repro.parallel import get_pool
+    from repro.store.recordstore import RecordStore
+    from repro.whatif import sweep
+    from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
-    def test_inline_path_skips_shm(self):
-        out = run_sharded(
-            _store_shard, [50, 60], jobs=1, shm=True, reduce=list
+    store = WorkloadGenerator("summit", GeneratorConfig(scale=1e-4)).generate(7)
+    store = RecordStore(store.platform, store.files[:20000], store.jobs,
+                        domains=store.domains, extensions=store.extensions,
+                        scale=store.scale)
+    get_pool(2)
+    points = [{"factor": 0.5}, {"factor": 2.0}]
+    first = sweep(store, "stripe", points, jobs=2)
+    second = sweep(store, "stripe", points, jobs=2)
+    assert first == second
+""")
+
+
+class TestTrackerOwnership:
+    def test_pooled_sweeps_leave_no_tracker_warnings(self):
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (os.path.abspath(src), env.get("PYTHONPATH")) if p
         )
-        assert [len(s.files) for s in out] == [50, 60]
+        proc = subprocess.run(
+            [sys.executable, "-c", _TWO_SWEEPS],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 class TestResolveJobs:

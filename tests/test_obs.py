@@ -263,39 +263,40 @@ class TestPipelineSpans:
                 "workloads.assemble", "workloads.shadows"} <= names
 
     @pytest.mark.parallel
-    def test_sharded_generation_adopts_worker_spans(self):
+    def test_pooled_sweep_adopts_worker_spans(self):
         from repro.api import generate_store
+        from repro.whatif import sweep
 
+        store = generate_store("summit", scale=1e-4, seed=7)
+        points = [{"factor": f} for f in (0.5, 2.0, 4.0, 8.0)]
         tracer = Tracer()
         previous = set_tracer(tracer)
         try:
-            traced_store = generate_store("summit", scale=2e-4, seed=7, jobs=4)
+            traced = sweep(store, "stripe", points, jobs=2)
         finally:
             set_tracer(previous)
-        untraced = generate_store("summit", scale=2e-4, seed=7, jobs=4)
+        untraced = sweep(store, "stripe", points, jobs=2)
 
         names = {r.name for r in tracer.records()}
-        assert {"parallel.run", "store.merge", "workloads.shard"} <= names
+        assert {"whatif.sweep", "parallel.run", "whatif.shard"} <= names
 
-        # Every shard surfaces as its own named track, and worker spans
-        # keep their nesting depth through the pickle round trip.
+        # Every shard (one per point) surfaces as its own named track,
+        # and worker spans keep their nesting depth through the pickle
+        # round trip.
         tracks = set(tracer.thread_names.values())
         for shard in range(4):
             assert any(t.startswith(f"shard{shard}:") for t in tracks)
         shard_spans = [r for r in tracer.records()
-                       if r.name == "workloads.shard"]
+                       if r.name == "whatif.shard"]
         assert len(shard_spans) == 4
         assert all(r.depth == 0 for r in shard_spans)
-        assembles = [r for r in tracer.records()
-                     if r.name == "workloads.assemble"]
-        assert len(assembles) == 4
-        assert all(r.depth == 1 for r in assembles)
+        point_spans = [r for r in tracer.records()
+                       if r.name == "whatif.point"]
+        assert len(point_spans) == 4
+        assert all(r.depth == 1 for r in point_spans)
 
-        # Tracing must not perturb the deterministic pipeline.
-        import numpy as np
-
-        assert np.array_equal(traced_store.files, untraced.files)
-        assert np.array_equal(traced_store.jobs, untraced.jobs)
+        # Tracing must not perturb the deterministic sweep.
+        assert traced == untraced
 
     def test_ingest_spans(self, tracer, tmp_path, cori_machine):
         from repro.darshan.format import write_log
@@ -399,13 +400,15 @@ class TestCliTrace:
         assert expected <= names
 
     @pytest.mark.parallel
-    def test_sharded_generate_trace_covers_all_shards(self, tmp_path, capsys):
+    def test_pooled_sweep_trace_covers_all_shards(self, tmp_path, capsys):
         from repro.cli import main
 
-        out = tmp_path / "year.npz"
-        path = tmp_path / "gen.json"
-        assert main(["generate", "--platform", "summit", "--scale", "2e-4",
-                     "--jobs", "3", "--out", str(out),
+        store = tmp_path / "year.npz"
+        path = tmp_path / "sweep.json"
+        assert main(["generate", "--platform", "summit", "--scale", "1e-4",
+                     "--out", str(store)]) == 0
+        assert main(["whatif", str(store), "--scenario", "stripe",
+                     "--sweep", '{"factor": [0.5, 2, 4]}', "--jobs", "2",
                      "--trace", str(path)]) == 0
         capsys.readouterr()
         doc, spans = self._load(path)
@@ -414,9 +417,9 @@ class TestCliTrace:
         for shard in range(3):
             assert any(t.startswith(f"shard{shard}:") for t in tracks)
         names = {e["name"] for e in spans}
-        assert {"cli.generate", "parallel.run", "workloads.shard",
-                "store.merge"} <= names
-        # Worker spans keep parent/child nesting: each shard's assemble
+        assert {"cli.whatif", "whatif.sweep", "parallel.run",
+                "whatif.shard"} <= names
+        # Worker spans keep parent/child nesting: each shard's point
         # sits inside its shard span on the same track.
         by_track = {}
         for e in spans:
@@ -425,11 +428,12 @@ class TestCliTrace:
                       ((e["tid"], e["args"]["name"]) for e in doc["traceEvents"]
                        if e["ph"] == "M" and e["name"] == "thread_name")
                       if name_.startswith("shard")]
+        assert len(shard_tids) == 3
         for tid in shard_tids:
             track = {e["name"]: e for e in by_track[tid]}
-            shard, assemble = track["workloads.shard"], track["workloads.assemble"]
-            assert shard["ts"] <= assemble["ts"]
-            assert (assemble["ts"] + assemble["dur"]
+            shard, point = track["whatif.shard"], track["whatif.point"]
+            assert shard["ts"] <= point["ts"]
+            assert (point["ts"] + point["dur"]
                     <= shard["ts"] + shard["dur"] + 1e-3)
 
     def test_trace_failure_still_writes(self, tmp_path, capsys):

@@ -1,12 +1,11 @@
-"""Differential proof: sharded generation/ingest ≡ serial, bit for bit.
+"""Differential proof: sharded ingest ≡ serial, bit for bit.
 
-The pipeline's determinism contract (DESIGN.md §8) is that the worker
-count is *unobservable*: ``jobs=N`` must produce the same store as
-``jobs=1`` — same rows, same order after canonicalization, same catalogs
-— and therefore identical outputs from every analysis entry point. This
-suite is the lock: it regenerates the fixture population at jobs ∈
-{2, 4, 7}, compares stores in canonical order, and replays all analysis
-entry points through each store's own AnalysisContext.
+The ingest pipeline's determinism contract (DESIGN.md §8) is that the
+worker count is *unobservable*: ``jobs=N`` must produce the same store
+as ``jobs=1`` — same rows, same order after canonicalization, same
+catalogs. This suite is the lock: it ingests one set of serialized logs
+at jobs ∈ {2, 4, 7} and compares stores in canonical order. (The
+what-if sweep's worker-count invariance lives in tests/test_whatif.py.)
 """
 
 from __future__ import annotations
@@ -25,8 +24,7 @@ from repro.workloads.generator import (
     WorkloadGenerator,
     generate_with_shadows,
 )
-from tests.conftest import SEED, SMALL_SCALE
-from tests.test_analysis_equivalence import CASES, assert_equivalent
+from tests.conftest import SEED
 
 pytestmark = pytest.mark.parallel
 
@@ -42,46 +40,6 @@ def assert_stores_identical(a, b, where="store"):
     assert ca.extensions == cb.extensions, f"{where}: extension catalogs differ"
     np.testing.assert_array_equal(ca.files, cb.files, err_msg=f"{where}.files")
     np.testing.assert_array_equal(ca.jobs, cb.jobs, err_msg=f"{where}.jobs")
-
-
-@pytest.fixture(scope="module", params=JOBS_GRID)
-def summit_pair(request, summit_store_small):
-    """(serial store, jobs=N store) for the Summit fixture population."""
-    gen = WorkloadGenerator("summit", GeneratorConfig(scale=SMALL_SCALE))
-    parallel = generate_with_shadows(gen, SEED, jobs=request.param)
-    return summit_store_small, parallel, request.param
-
-
-class TestGenerateDifferential:
-    def test_stores_identical(self, summit_pair):
-        serial, parallel, jobs = summit_pair
-        assert_stores_identical(serial, parallel, f"jobs={jobs}")
-
-    def test_raw_row_order_identical(self, summit_pair):
-        """Contiguous sharding reproduces even the pre-sort row order."""
-        serial, parallel, jobs = summit_pair
-        np.testing.assert_array_equal(serial.files, parallel.files)
-        np.testing.assert_array_equal(serial.jobs, parallel.jobs)
-
-    @pytest.mark.parametrize(
-        "name,fast_fn,legacy_fn", CASES, ids=[c[0] for c in CASES]
-    )
-    def test_analysis_outputs_identical(self, summit_pair, name, fast_fn, legacy_fn):
-        """Every analysis entry point, through each store's own context."""
-        serial, parallel, jobs = summit_pair
-        del legacy_fn  # the legacy twin is pinned by test_analysis_equivalence
-        assert_equivalent(fast_fn(serial), fast_fn(parallel), f"{name}[jobs={jobs}]")
-
-    def test_cori_jobs2(self, cori_store_small):
-        gen = WorkloadGenerator("cori", GeneratorConfig(scale=SMALL_SCALE))
-        parallel = generate_with_shadows(gen, SEED, jobs=2)
-        assert_stores_identical(cori_store_small, parallel, "cori jobs=2")
-
-    def test_jobs_zero_means_all_cores(self):
-        gen = WorkloadGenerator("summit", GeneratorConfig(scale=1e-4))
-        a = generate_with_shadows(gen, SEED, jobs=1)
-        b = generate_with_shadows(gen, SEED, jobs=0)
-        assert_stores_identical(a, b, "jobs=0")
 
 
 class TestIngestDifferential:
@@ -119,16 +77,3 @@ class TestIngestDifferential:
         )
         via_paths = ingest_log_paths(paths, "cori", mounts, domains=domains)
         assert_stores_identical(via_objects, via_paths, "path entry")
-
-
-class TestCliJobsFlag:
-    def test_generate_jobs_flag_identical_store(self, tmp_path):
-        from repro.cli import main
-        from repro.store.io import load_store
-
-        out1 = str(tmp_path / "serial.npz")
-        out2 = str(tmp_path / "sharded.npz")
-        args = ["generate", "--platform", "summit", "--scale", "1e-4"]
-        assert main(args + ["--out", out1]) == 0
-        assert main(args + ["--jobs", "2", "--out", out2]) == 0
-        assert_stores_identical(load_store(out1), load_store(out2), "cli --jobs")
