@@ -36,6 +36,7 @@ recompute cold on next use. See DESIGN.md §11 for the contract.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import TYPE_CHECKING, Callable, Hashable, TypeVar
 
 import numpy as np
@@ -100,11 +101,17 @@ class AnalysisContext:
 
     Cheap to construct — nothing is computed until asked for. All cache
     entries are tied to the store generation observed at construction;
-    :attr:`stale` contexts raise on every access.
+    :attr:`stale` contexts raise on every access. The store is held
+    weakly, so dropping the last reference to a store frees it and its
+    cache at once; a context whose store is gone raises
+    :class:`~repro.errors.AnalysisError`.
     """
 
     def __init__(self, store: "RecordStore"):
-        self._store = store
+        # Weak: the store holds its context (RecordStore._analysis), and a
+        # strong back-reference would make every dropped store wait for
+        # a cyclic garbage collection with its whole cache attached.
+        self._store = weakref.ref(store)
         self._generation = store.generation
         self._memo: dict[Hashable, object] = {}
         # Memo hit/miss tallies, read by the tracing layer
@@ -128,17 +135,22 @@ class AnalysisContext:
         # coalescer provide the cross-request concurrency instead.
         self._lock = threading.RLock()
 
-    # Locks are neither picklable nor deep-copyable; stores (which may
-    # hold a memoized context) travel through both — shard merging and
-    # the property-based aliasing checks. Rebuild the lock on restore.
+    # Locks and weak references are neither picklable nor
+    # deep-copyable; stores (which may hold a memoized context) travel
+    # through both — ingest shards cross the pool pipe, and the
+    # property-based aliasing checks copy stores. The state carries the
+    # store itself (pickle's memo makes it the same object as the store
+    # being restored), re-weakened on restore along with a new lock.
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         del state["_lock"]
+        state["_store"] = self.store
         state["_grow"] = {}  # capacity buffers are rebuilt on demand
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
+        self._store = weakref.ref(state["_store"])
         self._lock = threading.RLock()
         # Pickling copies arrays, so restored memo values are no longer
         # views of the growth buffers; drop the buffers and let the next
@@ -148,7 +160,15 @@ class AnalysisContext:
     # -- lifecycle -----------------------------------------------------------
     @property
     def store(self) -> "RecordStore":
-        return self._store
+        """The owning store; raises once it has been garbage-collected."""
+        store = self._store()
+        if store is None:
+            raise AnalysisError(
+                "AnalysisContext outlived its RecordStore: the store was "
+                "garbage-collected; keep a reference to the store while "
+                "using its context"
+            )
+        return store
 
     @property
     def generation(self) -> int:
@@ -158,13 +178,13 @@ class AnalysisContext:
     @property
     def stale(self) -> bool:
         """True once the store mutated past this context."""
-        return self._generation != self._store.generation
+        return self._generation != self.store.generation
 
     def _check_fresh(self) -> None:
         if self.stale:
             raise AnalysisError(
                 "stale AnalysisContext: store generation moved from "
-                f"{self._generation} to {self._store.generation}; call "
+                f"{self._generation} to {self.store.generation}; call "
                 "store.analysis() for a fresh context"
             )
 
@@ -212,7 +232,7 @@ class AnalysisContext:
         from repro.store.recordstore import RecordStore
         from repro.store.schema import empty_jobs
 
-        store = self._store
+        store = self.store
         with self._lock:
             self._check_fresh()
             old_rows = len(store.files)
@@ -356,7 +376,7 @@ class AnalysisContext:
     def column(self, name: str) -> np.ndarray:
         """A column view of ``store.files`` (no row copies)."""
         self._check_fresh()
-        return self._store.files[name]
+        return self.store.files[name]
 
     # -- boolean masks -------------------------------------------------------
     def mask(self, key) -> np.ndarray:
@@ -370,7 +390,7 @@ class AnalysisContext:
         return self.cached(("mask", key), lambda: self._compute_mask(key))
 
     def _compute_mask(self, key) -> np.ndarray:
-        f = self._store.files
+        f = self.store.files
         if key == "unique":
             return f["interface"] != int(IOInterface.MPIIO)
         if key == "shared":
@@ -433,7 +453,7 @@ class AnalysisContext:
             r = self.mask(("pos", "bytes_read"))
             w = self.mask(("pos", "bytes_written"))
             out = np.full(
-                len(self._store.files), OPCLASS_READ_ONLY, dtype=np.uint8
+                len(self.store.files), OPCLASS_READ_ONLY, dtype=np.uint8
             )
             out[r & w] = OPCLASS_READ_WRITE
             out[~r & w] = OPCLASS_WRITE_ONLY
@@ -492,9 +512,12 @@ class AnalysisContext:
         return self.cached(("positive", column, keys), compute)
 
     def __repr__(self) -> str:
+        store = self._store()
+        if store is None:
+            return f"AnalysisContext(<store gone>, generation={self._generation})"
         state = "stale" if self.stale else "fresh"
         return (
-            f"AnalysisContext({self._store.platform!r}, "
+            f"AnalysisContext({store.platform!r}, "
             f"generation={self._generation}, {state}, "
             f"{len(self._memo)} cached)"
         )

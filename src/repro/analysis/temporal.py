@@ -88,11 +88,17 @@ def _compute(ctx: AnalysisContext, bin_seconds: float) -> TemporalProfile:
     if not len(unique_idx):
         raise AnalysisError("store has no file records")
     jobs = store.jobs
-    start_by_job = dict(zip(jobs["job_id"].tolist(), jobs["start_time"].tolist()))
-    starts = np.array(
-        [start_by_job.get(int(j), 0.0) for j in ctx.gather("job_id", "unique")],
-        dtype=np.float64,
-    )
+    # Each file's job start, looked up by binary search over the job
+    # ids in sorted order. A repeated job id takes its last row's start;
+    # a file whose job is not in the table starts at 0.0.
+    by_id = np.argsort(jobs["job_id"], kind="stable")
+    job_ids = jobs["job_id"][by_id]
+    file_jobs = ctx.gather("job_id", "unique")
+    at = np.searchsorted(job_ids, file_jobs, side="right") - 1
+    found = at >= 0
+    found[found] = job_ids[at[found]] == file_jobs[found]
+    starts = np.zeros(len(file_jobs), dtype=np.float64)
+    starts[found] = jobs["start_time"][by_id][at[found]]
     horizon = float(jobs["start_time"].max() + jobs["runtime"].max())
     nbins = max(int(np.ceil(horizon / bin_seconds)), 1)
     idx = np.minimum((starts / bin_seconds).astype(np.int64), nbins - 1)

@@ -113,44 +113,71 @@ def tuning_report(
 
 def _compute(ctx: AnalysisContext, min_jobs: int) -> TuningReport:
     store = ctx.store
-    jobs = store.jobs
-    files = store.files
-    posix = files[files["interface"] == int(IOInterface.POSIX)]
-    mpiio_ids = set(
-        files["record_id"][files["interface"] == int(IOInterface.MPIIO)].tolist()
+    posix = ("interface", int(IOInterface.POSIX))
+
+    # Per-job aggregates over the POSIX rows: one stable sort by job id,
+    # then one reduceat per sum over each job's run of rows.
+    file_jobs = ctx.gather("job_id", posix)
+    order = np.argsort(file_jobs, kind="stable")
+    sorted_jobs = file_jobs[order]
+    first = np.ones(len(sorted_jobs), dtype=bool)
+    first[1:] = sorted_jobs[1:] != sorted_jobs[:-1]
+    starts = np.flatnonzero(first)
+    job_ids = sorted_jobs[starts]
+    if not len(job_ids):
+        return TuningReport(platform=store.platform, trajectories=())
+
+    def per_job(values: np.ndarray) -> np.ndarray:
+        return np.add.reduceat(values[order], starts)
+
+    ops = np.maximum(
+        per_job(ctx.gather("reads", posix) + ctx.gather("writes", posix)), 1
+    )
+    nbytes = per_job(
+        ctx.gather("bytes_read", posix) + ctx.gather("bytes_written", posix)
+    )
+    # Python int division: exact for byte sums past 2**53, where a
+    # float64 quotient of float64-rounded operands can differ.
+    job_req = np.array(
+        [b / o for b, o in zip(nbytes.tolist(), ops.tolist())], dtype=np.float64
+    )
+    # A POSIX row is an MPI-IO shadow when any MPI-IO row in the store
+    # shares its record id (the set is global, not per job).
+    shadows = np.isin(
+        ctx.gather("record_id", posix),
+        ctx.gather("record_id", ("interface", int(IOInterface.MPIIO))),
+    )
+    job_mpiio = per_job(shadows.astype(np.int64)) / np.diff(
+        starts, append=len(sorted_jobs)
     )
 
-    # Per-job aggregates.
-    job_req: dict[int, float] = {}
-    job_mpiio: dict[int, float] = {}
-    for job_id in np.unique(posix["job_id"]):
-        sel = posix[posix["job_id"] == job_id]
-        ops = max(int(sel["reads"].sum() + sel["writes"].sum()), 1)
-        nbytes = int(sel["bytes_read"].sum() + sel["bytes_written"].sum())
-        job_req[int(job_id)] = nbytes / ops
-        shadows = sum(1 for rid in sel["record_id"] if int(rid) in mpiio_ids)
-        job_mpiio[int(job_id)] = shadows / len(sel) if len(sel) else 0.0
+    # Each user's jobs in time order (ties keep table order); jobs
+    # without POSIX rows drop out.
+    jobs = store.jobs
+    by_user = np.lexsort((jobs["start_time"], jobs["user_id"]))
+    ids = jobs["job_id"][by_user]
+    at = np.minimum(np.searchsorted(job_ids, ids), len(job_ids) - 1)
+    has = job_ids[at] == ids
+    at = at[has]
+    users = jobs["user_id"][by_user][has]
+    bounds = np.flatnonzero(users[1:] != users[:-1]) + 1
 
     trajectories: list[UserTrajectory] = []
-    for user in np.unique(jobs["user_id"]):
-        rows = jobs[jobs["user_id"] == user]
-        rows = rows[np.argsort(rows["start_time"], kind="stable")]
-        req = np.array(
-            [job_req[int(j)] for j in rows["job_id"] if int(j) in job_req]
-        )
-        mp = np.array(
-            [job_mpiio[int(j)] for j in rows["job_id"] if int(j) in job_mpiio]
-        )
+    for user, req, mp in zip(
+        np.unique(users),
+        np.split(job_req[at], bounds),
+        np.split(job_mpiio[at], bounds),
+    ):
         if len(req) < min_jobs:
             continue
-        order = np.arange(len(req), dtype=np.float64)
+        order_in_time = np.arange(len(req), dtype=np.float64)
         trajectories.append(
             UserTrajectory(
                 user_id=int(user),
                 njobs=len(req),
                 request_sizes=req,
                 mpiio_shares=mp,
-                trend=_spearman(order, req),
+                trend=_spearman(order_in_time, req),
             )
         )
     return TuningReport(platform=store.platform, trajectories=tuple(trajectories))

@@ -337,7 +337,9 @@ def _build_parser() -> argparse.ArgumentParser:
     traceable(p_wi)
 
     p_adv = sub.add_parser("advise", help="run the optimization advisors")
-    p_adv.add_argument("store", help=".npz store from 'generate'")
+    p_adv.add_argument(
+        "store", help=".npz file or .store directory from 'generate'"
+    )
     p_adv.add_argument(
         "--advisor", choices=("aggregation", "staging"), default="staging"
     )

@@ -8,6 +8,11 @@ never serves its cached index arrays.
 
 from __future__ import annotations
 
+import copy
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,3 +275,59 @@ class TestContextConstruction:
         assert "fresh" in repr(ctx)
         store.invalidate()
         assert "stale" in repr(ctx)
+
+
+class TestStoreLifetime:
+    """The context holds its store weakly: no store <-> context cycle."""
+
+    ROWS = [
+        (LAYER_PFS, int(IOInterface.POSIX), -1, 10, 0),
+        (LAYER_INSYSTEM, int(IOInterface.STDIO), 0, 0, 20),
+    ]
+
+    def test_dropped_store_is_freed_without_cyclic_gc(self):
+        from repro.api import run_query
+
+        gc.collect()
+        gc.disable()
+        try:
+            store = build_store(self.ROWS)
+            run_query(store, "table3")
+            assert store.analysis().cache_info()
+            ref = weakref.ref(store)
+            del store
+            assert ref() is None, "store kept alive by a reference cycle"
+        finally:
+            gc.enable()
+
+    def test_context_of_a_dropped_store_raises(self):
+        store = build_store(self.ROWS)
+        ctx = store.analysis()
+        ctx.idx("unique")
+        del store
+        with pytest.raises(AnalysisError, match="outlived its RecordStore"):
+            ctx.store
+        with pytest.raises(AnalysisError, match="outlived its RecordStore"):
+            ctx.idx("unique")
+        assert "store gone" in repr(ctx)
+
+    @pytest.mark.parametrize(
+        "clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy]
+    )
+    def test_store_round_trips_with_its_warm_context(self, clone):
+        store = build_store(self.ROWS)
+        cached = store.analysis().gather("bytes_read", "unique")
+        restored = clone(store)
+        ctx = restored.analysis()
+        assert ctx is restored._analysis and ctx.store is restored
+        hits, misses = ctx.cache_counts()
+        assert ctx.gather("bytes_read", "unique").tolist() == cached.tolist()
+        assert ctx.cache_counts() == (hits + 1, misses)
+        # The restored context holds the restored store weakly too.
+        ref = weakref.ref(restored)
+        gc.disable()
+        try:
+            del restored, ctx
+            assert ref() is None
+        finally:
+            gc.enable()
