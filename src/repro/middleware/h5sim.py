@@ -12,8 +12,8 @@ wired to this repository's machinery:
   :class:`~repro.darshan.records.FileRecord` at close, so the library is
   *observable the way the paper observes applications*;
 * transfer times are priced by the performance model, so "aggregation
-  on vs off" is a measurable experiment (see the tests and
-  ``bench_middleware.py``).
+  on vs off" is a measurable experiment (see
+  ``tests/test_h5sim.py::TestAggregationEffect``).
 
 Datasets are C-order arrays carved into fixed chunks; a hyperslab selects
 ``[start, start+count)`` per dimension. Only the byte-extent math matters

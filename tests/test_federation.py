@@ -416,6 +416,13 @@ class TestCompare:
             assert va is not None and vb is not None
         assert a_wire["rows"], "sanity: side A produced rows"
 
+    def test_warm_compare_runs_no_member(self, fleet):
+        cold = fleet.compare("table3", "m0", "m1")
+        runs = fleet.stats()["counters"]["member_runs"]
+        warm = fleet.compare("table3", "m0", "m1")
+        assert fleet.stats()["counters"]["member_runs"] == runs
+        assert warm.rows == cold.rows
+
     def test_compare_reports_one_sided_rows(self):
         from repro.federation.compare import compare_serialized
 

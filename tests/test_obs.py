@@ -8,9 +8,12 @@ from __future__ import annotations
 import json
 import pickle
 import sys
+import time
 
 import pytest
 
+from repro.analysis import interface_usage, layer_volumes
+from repro.analysis.context import AnalysisContext
 from repro.obs import (
     SpanRecord,
     SpanStore,
@@ -45,6 +48,19 @@ def tracer():
 def _no_leaked_tracer():
     yield
     assert get_tracer() is None, "a test leaked an active tracer"
+
+
+def _instrumented_pass(store):
+    """A cold-context Table 3 + Table 6 pass through the production
+    instrumentation idiom: two analysis spans and one inner span."""
+    ctx = AnalysisContext(store)
+    with analysis_span("table3", ctx):
+        layer_volumes(store, context=ctx)
+    with analysis_span("table6", ctx):
+        with trace_span("analysis.inner", "analysis") as sp:
+            interface_usage(store, context=ctx)
+            if sp is not None:
+                sp.add(rows=len(store.files))
 
 
 # -- tracer semantics ---------------------------------------------------------
@@ -102,8 +118,6 @@ class TestTracer:
         assert rec.start_ns == tracer.anchor_ns + start
 
     def test_wall_anchored_timestamps(self, tracer):
-        import time
-
         before = time.time_ns()
         with trace_span("unit.now"):
             pass
@@ -139,10 +153,26 @@ class TestSpanStore:
         assert ns_to_ms(1_500_000) == 1.5
         # The anchor is "wall time of perf_counter zero": adding a fresh
         # perf reading must land near the current wall clock.
-        import time
-
         now = wall_anchor_ns() + perf_ns()
         assert abs(now - time.time_ns()) < 5_000_000_000
+
+    def test_total_counts_every_span_past_the_ring(self, study):
+        """Seven instrumented cold passes over the reference summit store
+        (three spans each) plus 200k tight-loop spans, which overflow
+        the ring: ``total`` still counts every one."""
+        store = study.store("summit")  # generated before tracing starts
+        tracer = Tracer()
+        previous = set_tracer(tracer)
+        try:
+            for _ in range(7):
+                _instrumented_pass(store)
+            for _ in range(200_000):
+                with trace_span("unit.op", "unit") as sp:
+                    if sp is not None:
+                        sp.add(i=1)
+        finally:
+            set_tracer(previous)
+        assert tracer.store.total == 7 * 3 + 200_000
 
 
 # -- disabled-path guarantees -------------------------------------------------
@@ -179,6 +209,15 @@ class TestDisabled:
         # Interpreter internals may retain a handful of blocks; any
         # per-iteration allocation would show up as >= 2048.
         assert grown <= 8, f"disabled tracing allocated {grown} blocks"
+
+    def test_disabled_span_costs_under_2us(self):
+        n = 200_000
+        t0 = time.perf_counter_ns()
+        for _ in range(n):
+            with trace_span("unit.op", "unit") as sp:
+                if sp is not None:
+                    sp.add(i=1)
+        assert (time.perf_counter_ns() - t0) / n < 2_000
 
 
 # -- export -------------------------------------------------------------------

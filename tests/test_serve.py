@@ -21,6 +21,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.analysis import performance_by_bin
 from repro.analysis.context import AnalysisContext
 from repro.analysis.report import render_results
 from repro.errors import (
@@ -241,6 +242,60 @@ class TestCaching:
         assert probe.calls == 4
         assert info["evictions"] >= 2
         assert info["entries"] == 2
+
+
+def _closed_loop(engine, queries, *, clients, requests):
+    """Each client issues its next request once the previous returns."""
+    issued = iter(range(requests))
+    lock = threading.Lock()
+
+    def client():
+        while True:
+            with lock:
+                i = next(issued, None)
+            if i is None:
+                return
+            engine.query(queries[i % len(queries)], timeout=120)
+
+    with ThreadPoolExecutor(clients) as pool:
+        for f in [pool.submit(client) for _ in range(clients)]:
+            f.result()
+
+
+class TestClosedLoad:
+    """Closed-loop load on the reference summit store (seed 20220627,
+    scale 1e-3)."""
+
+    #: The steady-state query mix: one per exhibit family.
+    MIX = ("table2", "table3", "table5", "fig3", "fig6", "fig11", "users")
+
+    def test_steady_state_is_all_cache_hits(self, study):
+        with QueryEngine(study.store("summit"), max_workers=4) as engine:
+            for name in self.MIX:
+                engine.query(name, timeout=120)
+            _closed_loop(engine, self.MIX, clients=8, requests=1500)
+            counters = engine.stats()["counters"]
+        assert counters["cache_hits"] >= 1500
+
+    def test_uncached_herd_coalesces(self, study):
+        """With the result cache off, only the coalescer stands between
+        a herd and one full recompute per request."""
+        store = study.store("summit")
+        herd = QuerySpec(
+            name="fig11_cold", title="Figure 11 recomputed from raw rows",
+            kind="table", header_key="fig11",
+            run=lambda s, ctx, params: performance_by_bin(
+                s, context=AnalysisContext(s)
+            ),
+        )
+        with QueryEngine(
+            store, max_workers=4, cache_entries=0,
+            extra_queries={"fig11_cold": herd},
+        ) as engine:
+            _closed_loop(engine, ["fig11_cold"], clients=16, requests=96)
+            counters = engine.stats()["counters"]
+        assert counters["executions"] < 96 / 2
+        assert counters["executions"] + counters.get("coalesced", 0) == 96
 
 
 class TestBackpressure:

@@ -1,9 +1,11 @@
-"""Stress: the pipeline holds up at a 4x-bench scale in bounded time.
+"""Stress: the pipeline holds up at 4x the reference scale in bounded time.
 
-Not a micro-benchmark (that's ``benchmarks/bench_generator.py``) — a
-guard that nothing in the generate→analyze path degrades to quadratic
-behaviour or balloons memory when the population grows. Runs under the
-``stress`` marker; ``make check`` skips it, ``make stress`` runs it.
+Not a benchmark (``perfbench/`` measures speed end to end) — a guard
+that nothing in the generate→analyze path degrades to quadratic
+behaviour or balloons memory when the population grows. Its rate
+floors are the vectorization net: a per-row Python loop would land
+orders of magnitude below them. Runs under the ``stress`` marker;
+``make check`` skips it, ``make stress`` runs it.
 """
 
 import time

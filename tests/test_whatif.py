@@ -267,6 +267,13 @@ class TestServeCaching:
         assert self._counter(engine, "cache_hits") == hits + 1
         assert second == first
 
+    def test_second_pass_over_every_scenario_hits(self, engine):
+        names = [f"whatif_{n}" for n in sorted(scenario_catalog())]
+        cold = [engine.query(n, timeout=600) for n in names]
+        warm = [engine.query(n, timeout=600) for n in names]
+        assert warm == cold
+        assert self._counter(engine, "cache_hits") >= len(names)
+
     def test_distinct_params_are_distinct_entries(self, engine):
         engine.query("whatif_contention", {"factor": 2.0})
         misses = self._counter(engine, "cache_misses")
