@@ -11,14 +11,15 @@ analyses together fell under the 300k rows/s floor.
 predicate **once** as a boolean mask, intersects masks into compact
 ``int64`` index arrays, caches the derived columns (total transfer per
 direction, per-file bandwidth, op-class), and memoizes whole analysis
-results. Everything is keyed on the owning store's *generation*: a
-mutation (``RecordStore.extend``, or an explicit
-:meth:`RecordStore.invalidate`) bumps the counter and a stale context
-refuses to serve anything rather than return stale index arrays.
+results. Everything is keyed on the owning store's *generation*: an
+in-place mutation followed by :meth:`RecordStore.invalidate` bumps the
+counter and a stale context refuses to serve anything rather than
+return stale index arrays.
 
-Analyses obtain the context via :meth:`RecordStore.analysis`; passing an
-explicit ``context=`` to an analysis entry point overrides it (the
-golden-equivalence suite uses that to pin contexts).
+A store has one context per generation, and every analysis entry point
+reads it through :meth:`RecordStore.analysis`; there is no way to hand
+an entry point a different one. A cold recompute needs a new
+``RecordStore`` over the same arrays.
 
 **Append-only growth** (the ``repro.stream`` ingest path) gets a cheaper
 discipline than full invalidation: :meth:`AnalysisContext.apply_append`
@@ -522,16 +523,3 @@ class AnalysisContext:
             f"{len(self._memo)} cached)"
         )
 
-
-def resolve(store: "RecordStore", context: AnalysisContext | None) -> AnalysisContext:
-    """The context analyses should use: explicit one, else the store's.
-
-    An explicit context must belong to the same store object — silently
-    analyzing store A with store B's masks would be a correctness bug.
-    """
-    if context is None:
-        return store.analysis()
-    if context.store is not store:
-        raise AnalysisError("context belongs to a different store")
-    context._check_fresh()
-    return context

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.store.recordstore import RecordStore
 from repro.units import format_count
 
@@ -55,16 +55,14 @@ class DatasetSummary:
         ]
 
 
-def dataset_summary(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> DatasetSummary:
+def dataset_summary(store: RecordStore) -> DatasetSummary:
     """Compute Table 2 for one platform's store.
 
     Files are the paper's unit: unique (path, log) pairs, i.e. rows from
     POSIX/STDIO (MPI-IO files are counted once through their POSIX shadow
     — §3.1 accounting).
     """
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(("result", "dataset_summary"), lambda: _compute(ctx))
 
 

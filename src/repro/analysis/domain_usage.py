@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM
@@ -112,22 +112,18 @@ def _collect(ctx: AnalysisContext, flavor: str, *keys) -> DomainUsage:
     )
 
 
-def insystem_domain_usage(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> DomainUsage:
+def insystem_domain_usage(store: RecordStore) -> DomainUsage:
     """Figure 7: per-domain POSIX+STDIO transfer on the in-system layer."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(
         ("result", "insystem_domain_usage"),
         lambda: _collect(ctx, "insystem", ("layer", LAYER_INSYSTEM), "unique"),
     )
 
 
-def stdio_domain_usage(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> DomainUsage:
+def stdio_domain_usage(store: RecordStore) -> DomainUsage:
     """Figure 10: per-domain STDIO transfer across both layers."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(
         ("result", "stdio_domain_usage"),
         lambda: _collect(ctx, "stdio", ("interface", int(IOInterface.STDIO))),

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
 from repro.units import format_count
@@ -46,11 +46,9 @@ class LayerExclusivity:
         ]
 
 
-def layer_exclusivity(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> LayerExclusivity:
+def layer_exclusivity(store: RecordStore) -> LayerExclusivity:
     """Compute Table 5 for one platform (over jobs with any file record)."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(("result", "layer_exclusivity"), lambda: _compute(ctx))
 
 

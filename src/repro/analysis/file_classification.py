@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, register_foldable, resolve
+from repro.analysis.context import AnalysisContext, register_foldable
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import (
@@ -77,10 +77,9 @@ def file_classification(
     store: RecordStore,
     *,
     stdio_only: bool = False,
-    context: AnalysisContext | None = None,
 ) -> FileClassification:
     """Figure 6 (``stdio_only=False``) or Figure 8 (``True``)."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "file_classification", stdio_only)
     return ctx.cached(key, lambda: _compute(ctx, stdio_only))
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.context import AnalysisContext, register_foldable, resolve
+from repro.analysis.context import AnalysisContext, register_foldable
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
@@ -54,11 +54,9 @@ class InterfaceUsage:
         return rows
 
 
-def interface_usage(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> InterfaceUsage:
+def interface_usage(store: RecordStore) -> InterfaceUsage:
     """Compute Table 6 for one platform."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(("result", "interface_usage"), lambda: _compute(ctx))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
 from repro.units import TB, format_count
@@ -52,14 +52,9 @@ class LargeFiles:
         return rows
 
 
-def large_files(
-    store: RecordStore,
-    threshold: int = 1 * TB,
-    *,
-    context: AnalysisContext | None = None,
-) -> LargeFiles:
+def large_files(store: RecordStore, threshold: int = 1 * TB) -> LargeFiles:
     """Compute Table 4 for one platform."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "large_files", threshold)
     return ctx.cached(key, lambda: _compute(ctx, threshold))
 

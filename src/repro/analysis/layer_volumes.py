@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.analysis.context import AnalysisContext, register_foldable, resolve
+from repro.analysis.context import AnalysisContext, register_foldable
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
 from repro.units import format_count, format_size
@@ -55,11 +55,9 @@ class LayerVolumes:
         return rows
 
 
-def layer_volumes(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> LayerVolumes:
+def layer_volumes(store: RecordStore) -> LayerVolumes:
     """Compute Table 3 for one platform."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(("result", "layer_volumes"), lambda: _compute(ctx))
 
 

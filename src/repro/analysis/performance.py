@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.cdf import BoxStats, boxplot_stats
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.darshan.bins import TRANSFER_SIZE_BINS, SizeBins
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -74,10 +74,9 @@ def performance_by_bin(
     store: RecordStore,
     *,
     bins: SizeBins = TRANSFER_SIZE_BINS,
-    context: AnalysisContext | None = None,
 ) -> list[PerformanceByBin]:
     """Compute all four panels (layer x direction) for one platform."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "performance_by_bin", bins.name, bins.edges)
     return ctx.cached(key, lambda: _compute(ctx, bins))
 

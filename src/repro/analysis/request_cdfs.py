@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.analysis.cdf import weighted_cdf
-from repro.analysis.context import AnalysisContext, register_foldable, resolve
+from repro.analysis.context import AnalysisContext, register_foldable
 from repro.darshan.bins import ACCESS_SIZE_BINS
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -61,7 +61,6 @@ def request_cdfs(
     store: RecordStore,
     *,
     large_jobs_only: bool = False,
-    context: AnalysisContext | None = None,
 ) -> list[RequestCdf]:
     """Figure 4 (``large_jobs_only=False``) or Figure 5 (``True``).
 
@@ -69,7 +68,7 @@ def request_cdfs(
     file-system requests (including MPI-IO traffic through its shadows),
     and STDIO has no histograms to contribute.
     """
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "request_cdfs", large_jobs_only)
     return ctx.cached(key, lambda: _compute(ctx, large_jobs_only))
 

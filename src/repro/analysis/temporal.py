@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError
 from repro.scheduler.trace import SECONDS_PER_DAY
 from repro.store.recordstore import RecordStore
@@ -72,12 +72,11 @@ def temporal_profile(
     store: RecordStore,
     *,
     bin_seconds: float = 3600.0,
-    context: AnalysisContext | None = None,
 ) -> TemporalProfile:
     """Bin the store's transfer volume over the trace horizon."""
     if bin_seconds <= 0:
         raise AnalysisError("bin_seconds must be positive")
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "temporal_profile", float(bin_seconds))
     return ctx.cached(key, lambda: _compute(ctx, bin_seconds))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.cdf import cdf_at
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -72,10 +72,9 @@ def transfer_cdfs(
     *,
     thresholds: np.ndarray = FIG3_THRESHOLDS,
     labels: tuple[str, ...] = FIG3_LABELS,
-    context: AnalysisContext | None = None,
 ) -> list[TransferCdf]:
     """Figure 3: per (layer, direction) CDFs over POSIX+STDIO files."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "transfer_cdfs", tuple(float(t) for t in thresholds), labels)
     return ctx.cached(key, lambda: _fig3(ctx, thresholds, labels))
 
@@ -108,7 +107,6 @@ def interface_transfer_cdfs(
     *,
     thresholds: np.ndarray = FIG9_THRESHOLDS,
     labels: tuple[str, ...] = FIG9_LABELS,
-    context: AnalysisContext | None = None,
 ) -> list[TransferCdf]:
     """Figure 9: per (interface, layer, direction) CDFs.
 
@@ -117,7 +115,7 @@ def interface_transfer_cdfs(
     be wrong — Darshan's POSIX module does see that traffic, so shadows
     stay in, matching the instrument's view.
     """
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = (
         "result",
         "interface_transfer_cdfs",

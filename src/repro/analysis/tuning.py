@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -101,12 +101,11 @@ def tuning_report(
     store: RecordStore,
     *,
     min_jobs: int = 5,
-    context: AnalysisContext | None = None,
 ) -> TuningReport:
     """Classify every qualifying user's tuning trajectory."""
     if min_jobs < 3:
         raise AnalysisError("min_jobs must be at least 3 for a trend")
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "tuning_report", min_jobs)
     return ctx.cached(key, lambda: _compute(ctx, min_jobs))
 

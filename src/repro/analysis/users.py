@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError
 from repro.store.recordstore import RecordStore
 
@@ -73,11 +73,9 @@ class UserActivity:
         ]
 
 
-def user_activity(
-    store: RecordStore, *, context: AnalysisContext | None = None
-) -> UserActivity:
+def user_activity(store: RecordStore) -> UserActivity:
     """Compute per-user activity for a store."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     return ctx.cached(("result", "user_activity"), lambda: _compute(ctx))
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.darshan.bins import TRANSFER_SIZE_BINS, SizeBins
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -49,10 +49,9 @@ def bandwidth_variability(
     *,
     bins: SizeBins = TRANSFER_SIZE_BINS,
     min_samples: int = 30,
-    context: AnalysisContext | None = None,
 ) -> list[VariabilityCell]:
     """Dispersion cells for all shared-file populations with enough data."""
-    ctx = resolve(store, context)
+    ctx = store.analysis()
     key = ("result", "bandwidth_variability", bins.name, bins.edges, min_samples)
     return ctx.cached(key, lambda: _compute(ctx, bins, min_samples))
 

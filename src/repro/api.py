@@ -149,11 +149,13 @@ def run_query(
 
     The in-process twin of ``repro analyze``/``repro query``: the name
     resolves through the same :class:`~repro.serve.registry.QuerySpec`
-    table the server and CLI dispatch on, parameters are validated
-    against the spec, and the analysis runs against the store's shared
-    :class:`~repro.analysis.context.AnalysisContext` — so the result is
-    object-identical to what a :class:`~repro.serve.engine.QueryEngine`
-    would compute for the same request.
+    table the server and CLI dispatch on, and parameters are validated
+    against the spec. Every query reads the store's one
+    :class:`~repro.analysis.context.AnalysisContext`
+    (:meth:`RecordStore.analysis`), the same one a
+    :class:`~repro.serve.engine.QueryEngine` over the store uses, so
+    the two share memoized results and return the same objects. A
+    cold recompute needs a new ``RecordStore`` over the same arrays.
 
     Returns the query's native result object (rows via ``to_rows()``
     for tables, advisor dataclasses, ShapeCheck lists); raises
@@ -169,9 +171,8 @@ def run_query(
             f"unknown query {name!r}; available: {', '.join(sorted(registry))}"
         )
     params = validate_params(spec, params)
-    context = store.analysis()
-    with analysis_span(name, context):
-        return spec.run(store, context, params)
+    with analysis_span(name, store.analysis()):
+        return spec.run(store, params)
 
 
 def list_queries() -> list[str]:

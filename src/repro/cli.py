@@ -40,7 +40,7 @@ from repro.core import CharacterizationStudy, StudyConfig
 from repro.federation.registry import federated_query_names
 from repro.platforms import get_platform
 from repro.platforms.interfaces import IOInterface
-from repro.serve.registry import default_registry, exhibit_names
+from repro.serve.registry import default_registry, exhibit_names, serialize_result
 from repro.store.io import load_store, save_store
 from repro.units import format_size, parse_size
 from repro.workloads.generator import (
@@ -475,6 +475,33 @@ def _federated_executor(catalog_path: str, *, workers: int = 4):
     return executor, federated_registry(executor)
 
 
+def _run_federated(command: str, catalog_path: str, name: str, params: dict):
+    """One federated query in process: ``(spec, result)``, or an exit code.
+
+    Runs the very QuerySpec a ``repro serve --catalog`` would dispatch
+    on. An unknown name (exit 2) and a typed failure (exit 1) are
+    reported on stderr, prefixed with ``command``.
+    """
+    from repro.errors import ReproError
+    from repro.serve.registry import validate_params
+
+    try:
+        executor, federated = _federated_executor(catalog_path)
+        with executor:
+            spec = federated.get(name)
+            if spec is None:
+                print(
+                    f"{command}: {name!r} is not a federated query; "
+                    f"federated names: {', '.join(sorted(federated))}",
+                    file=sys.stderr,
+                )
+                return 2
+            return spec, spec.run(None, validate_params(spec, params))
+    except ReproError as exc:
+        print(f"{command}: {exc}", file=sys.stderr)
+        return 1
+
+
 def _cmd_analyze(args) -> int:
     registry = default_registry()
     if args.list:
@@ -497,53 +524,27 @@ def _cmd_analyze(args) -> int:
     params = json.loads(args.params) if args.params else {}
     if args.catalog is not None:
         # The federated path: the exhibit runs across catalog members,
-        # routed by --member/--facility/--period, through the very
-        # QuerySpec objects `repro serve --catalog` would dispatch on.
+        # routed by --member/--facility/--period.
         for axis in ("member", "facility", "period"):
             value = getattr(args, axis)
             if value is not None:
                 params[axis] = value
-        from repro.errors import ReproError
-        from repro.serve.registry import validate_params
-
-        try:
-            executor, federated = _federated_executor(args.catalog)
-            with executor:
-                spec = federated.get(args.exhibit)
-                if spec is None:
-                    print(
-                        f"analyze: {args.exhibit!r} is not a federated "
-                        "query; federated names: "
-                        f"{', '.join(sorted(federated))}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                result = spec.run(None, None, validate_params(spec, params))
-        except ReproError as exc:
-            print(f"analyze: {exc}", file=sys.stderr)
-            return 1
-        if args.as_json:
-            from repro.serve.registry import serialize_result
-
-            print(json.dumps(serialize_result(spec, result),
-                             indent=2, sort_keys=True))
-            return 0
-        print(render_results(spec.title, spec.headers, result))
-        return 0
-    if args.store is None:
+        outcome = _run_federated("analyze", args.catalog, args.exhibit, params)
+        if isinstance(outcome, int):
+            return outcome
+        spec, result = outcome
+    elif args.store is None:
         print("analyze: a store path is required unless --list or "
               "--catalog is given", file=sys.stderr)
         return 2
-    store = load_store(args.store)
-    spec = registry[args.exhibit]
-    result = run_query(store, args.exhibit, params or None)
+    else:
+        spec = registry[args.exhibit]
+        result = run_query(load_store(args.store), args.exhibit, params or None)
     if args.as_json:
-        from repro.serve.registry import serialize_result
-
         print(json.dumps(serialize_result(spec, result),
                          indent=2, sort_keys=True))
-        return 0
-    print(render_results(spec.title, spec.headers, result))
+    else:
+        print(render_results(spec.title, spec.headers, result))
     return 0
 
 
@@ -727,27 +728,11 @@ def _cmd_query(args) -> int:
 
     params = json.loads(args.params) if args.params else {}
     if args.catalog is not None:
-        # Same specs a federated server dispatches on, executed in
-        # process — no server required for a one-shot fleet query.
-        from repro.errors import ReproError
-        from repro.serve.registry import serialize_result, validate_params
-
-        try:
-            executor, federated = _federated_executor(args.catalog)
-            with executor:
-                spec = federated.get(args.name)
-                if spec is None:
-                    print(
-                        f"query: {args.name!r} is not a federated query; "
-                        f"federated names: {', '.join(sorted(federated))}",
-                        file=sys.stderr,
-                    )
-                    return 2
-                raw = spec.run(None, None, validate_params(spec, params))
-                result = serialize_result(spec, raw)
-        except ReproError as exc:
-            print(f"query: {exc}", file=sys.stderr)
-            return 1
+        # In process: no server required for a one-shot fleet query.
+        outcome = _run_federated("query", args.catalog, args.name, params)
+        if isinstance(outcome, int):
+            return outcome
+        result = serialize_result(*outcome)
     else:
         with ServeClient(args.host, args.port) as client:
             result = client.query(args.name, params, timeout=args.timeout)
@@ -831,8 +816,6 @@ def _cmd_whatif(args) -> int:
     store = load_store(args.store)
     reports = sweep(store, scenario.name, points, jobs=args.jobs)
     if args.as_json:
-        from repro.serve.registry import default_registry, serialize_result
-
         spec = default_registry()[f"whatif_{scenario.name}"]
         print(json.dumps(
             [serialize_result(spec, r) for r in reports],

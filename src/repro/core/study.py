@@ -2,25 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
-from repro.analysis import (
-    dataset_summary,
-    file_classification,
-    insystem_domain_usage,
-    interface_transfer_cdfs,
-    interface_usage,
-    large_files,
-    layer_exclusivity,
-    layer_volumes,
-    performance_by_bin,
-    request_cdfs,
-    stdio_domain_usage,
-    transfer_cdfs,
-)
 from repro.analysis.report import HEADERS, render_results
 from repro.core.config import StudyConfig
-from repro.obs.integrate import analysis_span
 from repro.store.recordstore import RecordStore
 from repro.workloads.generator import (
     GeneratorConfig,
@@ -50,38 +35,23 @@ class StudyResults:
     fig11_12: list = field(default_factory=list)
 
 
-def compute_results(store: RecordStore, *, context=None) -> StudyResults:
+def compute_results(store: RecordStore) -> StudyResults:
     """Run every table/figure analysis over one store.
 
     The single exhibit pipeline behind both :meth:`CharacterizationStudy.run`
-    and the ``shapes`` query of :mod:`repro.serve` — one shared analysis
-    plan, so every exhibit reuses the same masks/index arrays instead of
-    rescanning the file table.
+    and the ``shapes`` query of :mod:`repro.serve`. Each field is the
+    answer of the registry query of the same name (``fig11_12`` is
+    ``fig11``), run through :func:`repro.api.run_query`: one shared
+    analysis context, and one ``analysis.<query>`` span per exhibit.
     """
-    ctx = context if context is not None else store.analysis()
+    # Imported here: repro.api imports this module.
+    from repro.api import run_query
+
     results = StudyResults(platform=store.platform)
-    # Each entry point runs inside an analysis span annotated with the
-    # shared context's memo hit/miss deltas, so a trace of a study shows
-    # which exhibit paid for which masks and which rode the cache.
-    plan = (
-        ("table2", dataset_summary, {}),
-        ("table3", layer_volumes, {}),
-        ("table4", large_files, {}),
-        ("table5", layer_exclusivity, {}),
-        ("table6", interface_usage, {}),
-        ("fig3", transfer_cdfs, {}),
-        ("fig4", request_cdfs, {}),
-        ("fig5", request_cdfs, {"large_jobs_only": True}),
-        ("fig6", file_classification, {}),
-        ("fig7", insystem_domain_usage, {}),
-        ("fig8", file_classification, {"stdio_only": True}),
-        ("fig9", interface_transfer_cdfs, {}),
-        ("fig10", stdio_domain_usage, {}),
-        ("fig11_12", performance_by_bin, {}),
-    )
-    for name, entry_point, kwargs in plan:
-        with analysis_span(name, ctx):
-            setattr(results, name, entry_point(store, context=ctx, **kwargs))
+    for f in fields(StudyResults):
+        if f.name != "platform":
+            query = "fig11" if f.name == "fig11_12" else f.name
+            setattr(results, f.name, run_query(store, query))
     return results
 
 

@@ -181,7 +181,7 @@ class FederationExecutor:
             if sp is not None:
                 sp.add(member=member.label, query=name)
             store = self.member_store(member.label)
-            result = spec.run(store, store.analysis(), params)
+            result = spec.run(store, params)
         self.cache.put(key, result)
         return result
 
@@ -261,7 +261,7 @@ class FederationExecutor:
             hit, value = self.cache.get(key)
             if hit:
                 return value
-            result = spec.run(store, store.analysis(), params)
+            result = spec.run(store, params)
             self.cache.put(key, result)
             return result
 

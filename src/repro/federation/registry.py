@@ -6,8 +6,8 @@ routing parameters (``member``, ``facility``, ``platform``, ``period``)
 — and adds one ``compare_<name>`` spec per mergeable query (params
 ``a``/``b``: the two member labels) and a ``catalog_members`` listing.
 The specs dispatch into a shared :class:`~repro.federation.executor.
-FederationExecutor` and ignore the engine-provided store/context: the
-executor owns member stores, contexts, and caches.
+FederationExecutor` and ignore the engine-provided store: the executor
+owns member stores, contexts, and caches.
 
 Because the federated registry is made of ordinary
 :class:`~repro.serve.registry.QuerySpec` entries, the whole surface is
@@ -29,14 +29,14 @@ from repro.serve.registry import QuerySpec
 
 
 def _federated_runner(executor: FederationExecutor, name: str):
-    def run(store, ctx, params):
+    def run(store, params):
         return executor.query(name, params)
 
     return run
 
 
 def _compare_runner(executor: FederationExecutor, name: str):
-    def run(store, ctx, params):
+    def run(store, params):
         params = dict(params)
         a = params.pop("a", None)
         b = params.pop("b", None)
@@ -53,7 +53,7 @@ def _compare_runner(executor: FederationExecutor, name: str):
 
 
 def _members_runner(executor: FederationExecutor):
-    def run(store, ctx, params):
+    def run(store, params):
         return executor.members_table()
 
     return run

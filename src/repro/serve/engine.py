@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
-from threading import BoundedSemaphore, Lock
+from threading import BoundedSemaphore
 from typing import Mapping
 
 from repro.errors import QueryTimeoutError, ServiceOverloadError, UnknownQueryError
@@ -97,8 +97,6 @@ class QueryEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
-        self._ctx_lock = Lock()
-        self._ctx = store.analysis()
 
     # -- registry ------------------------------------------------------------
     def query_names(self) -> list[str]:
@@ -107,13 +105,6 @@ class QueryEngine:
 
     def spec(self, name: str) -> QuerySpec | None:
         return self.registry.get(name)
-
-    def _context(self):
-        """The store's current analysis context (refreshed on mutation)."""
-        with self._ctx_lock:
-            if self._ctx.stale:
-                self._ctx = self.store.analysis()
-            return self._ctx
 
     # -- request path --------------------------------------------------------
     def submit(self, name: str, params: Mapping | None = None) -> Future:
@@ -195,12 +186,11 @@ class QueryEngine:
             with trace_span("serve.execute", "serve") as sp:
                 if sp is not None:
                     sp.add(query=spec.name)
-                context = self._context()
                 # The same per-entry-point span (with cache hit/miss
                 # attributes) a study trace gets, so server-driven and
                 # CLI-driven runs of one analysis look alike in a trace.
-                with analysis_span(spec.name, context):
-                    result = spec.run(self.store, context, params)
+                with analysis_span(spec.name, self.store.analysis()):
+                    result = spec.run(self.store, params)
         except BaseException as exc:
             metrics.counter("errors").inc()
             if key is not None:
@@ -259,9 +249,7 @@ class QueryEngine:
                 with trace_span("serve.refresh", "serve") as sp:
                     if sp is not None:
                         sp.add(query=name, generation=generation)
-                    result = spec.run(
-                        self.store, self._context(), dict(params_items)
-                    )
+                    result = spec.run(self.store, dict(params_items))
             except Exception:
                 self.metrics.counter("errors").inc()
                 continue

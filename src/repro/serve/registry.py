@@ -4,8 +4,8 @@
 all dispatch through :func:`default_registry`, so the CLI's exhibit list
 and the service's query surface are the same object and cannot drift.
 
-A :class:`QuerySpec` carries the runner (``(store, context, params) ->
-result``), the rendering metadata (title + header key into
+A :class:`QuerySpec` carries the runner (``(store, params) -> result``),
+the rendering metadata (title + header key into
 :data:`repro.analysis.report.HEADERS`), and the serving policy
 (cacheability, accepted parameters). Runners return the same objects the
 ``analysis/`` entry points return — serialization to wire format happens
@@ -112,8 +112,8 @@ def _exhibit(fn, **fixed):
     ...)``, so the runner records that name for :func:`exhibit_result`.
     """
 
-    def run(store, ctx, params):
-        return fn(store, context=ctx, **fixed)
+    def run(store, params):
+        return fn(store, **fixed)
 
     run.result_name = fn.__name__
     return run
@@ -124,30 +124,30 @@ def exhibit_result(spec: QuerySpec) -> str | None:
     return getattr(spec.run, "result_name", None)
 
 
-def _run_shapes(store, ctx, params):
+def _run_shapes(store, params):
     # Imported here: core.compare consumes analysis results, and the
     # registry is imported by cli/engine before any store exists.
     from repro.core.compare import run_shape_checks
     from repro.core.study import compute_results
 
-    return run_shape_checks(compute_results(store, context=ctx))
+    return run_shape_checks(compute_results(store))
 
 
 # The advisors' defaults are deterministic, so their answers are
 # functions of the store alone and memoize like the exhibits.
-def _run_advise_staging(store, ctx, params):
+def _run_advise_staging(store, params):
     from repro.optimize import assess_staging
 
-    return ctx.cached(
+    return store.analysis().cached(
         ("result", "advise_staging"),
         lambda: assess_staging(store, get_platform(store.platform)),
     )
 
 
-def _run_advise_aggregation(store, ctx, params):
+def _run_advise_aggregation(store, params):
     from repro.optimize import find_aggregation_opportunities
 
-    opportunities = ctx.cached(
+    opportunities = store.analysis().cached(
         ("result", "advise_aggregation"),
         lambda: find_aggregation_opportunities(store, get_platform(store.platform)),
     )
@@ -165,7 +165,7 @@ def _whatif_runner(scenario_name):
     invalidates every cached point.
     """
 
-    def run(store, ctx, params):
+    def run(store, params):
         from repro.whatif import compute_point
 
         return compute_point(store, scenario_name, params)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -17,6 +18,12 @@ from repro.store.schema import (
     OPCLASS_WRITE_ONLY,
     SCHEMA_VERSION,
 )
+
+#: Guards building a store's analysis context, so threads that ask a
+#: store for it at once all get the same object. Module-level rather
+#: than per store: stores are pickled across the pool pipe and
+#: deep-copied, and a lock attribute survives neither.
+_ANALYSIS_LOCK = threading.Lock()
 
 
 class RecordStore:
@@ -87,7 +94,7 @@ class RecordStore:
     # -- analysis cache ------------------------------------------------------
     @property
     def generation(self) -> int:
-        """Mutation counter; bumped by :meth:`invalidate` and :meth:`extend`.
+        """Mutation counter; bumped by :meth:`invalidate` and :meth:`append`.
 
         The :class:`~repro.analysis.context.AnalysisContext` returned by
         :meth:`analysis` is keyed on this value — a context built against
@@ -99,8 +106,8 @@ class RecordStore:
         """Bust the analysis cache after any in-place table mutation.
 
         Filtering/concat build *new* stores (each with a fresh cache), so
-        only code that writes into ``files``/``jobs`` directly — ingest
-        append paths, replay experiments — needs to call this.
+        only code that writes into ``files``/``jobs`` directly needs to
+        call this; :meth:`append` keeps the cache consistent itself.
         """
         self._generation += 1
         self._analysis = None
@@ -110,32 +117,18 @@ class RecordStore:
 
         Repeated analyses over the same store reuse one context, so the
         common masks, index arrays, and derived columns are computed at
-        most once per store generation.
+        most once per store generation. Thread-safe: concurrent callers
+        (serve workers, federation scatter threads) get the same object.
         """
-        from repro.analysis.context import AnalysisContext
+        ctx = self._analysis
+        if ctx is None or ctx.generation != self._generation:
+            from repro.analysis.context import AnalysisContext
 
-        if self._analysis is None or self._analysis.generation != self._generation:
-            self._analysis = AnalysisContext(self)
-        return self._analysis
-
-    def extend(self, files: np.ndarray, jobs: np.ndarray | None = None) -> None:
-        """Append rows in place (the ingest/replay-append mutation path).
-
-        Unlike :meth:`concat` this mutates the store, so it bumps the
-        generation and invalidates any outstanding analysis context.
-        """
-        if files.dtype != FILE_DTYPE:
-            raise StoreError(f"files table has dtype {files.dtype}, want FILE_DTYPE")
-        if len(files) and files["domain"].max() >= len(self.domains):
-            raise StoreError("file domain code out of catalog range")
-        if jobs is not None:
-            if jobs.dtype != JOB_DTYPE:
-                raise StoreError(f"jobs table has dtype {jobs.dtype}, want JOB_DTYPE")
-            if len(jobs) and jobs["domain"].max() >= len(self.domains):
-                raise StoreError("job domain code out of catalog range")
-            self.jobs = np.concatenate([self.jobs, jobs])
-        self.files = np.concatenate([self.files, files])
-        self.invalidate()
+            with _ANALYSIS_LOCK:
+                ctx = self._analysis
+                if ctx is None or ctx.generation != self._generation:
+                    ctx = self._analysis = AnalysisContext(self)
+        return ctx
 
     # -- append-only growth (delta-aware) ------------------------------------
     def append(
@@ -147,12 +140,11 @@ class RecordStore:
     ) -> None:
         """Append rows with delta-aware cache invalidation.
 
-        The streaming counterpart of :meth:`extend`: when a fresh
-        :class:`~repro.analysis.context.AnalysisContext` is live, its
-        cached masks, index arrays, and foldable memoized results are
-        *extended* over the new rows instead of discarded (see
-        :meth:`AnalysisContext.apply_append`); otherwise this degrades
-        to exactly the :meth:`extend` behaviour. Either way the
+        When a fresh :class:`~repro.analysis.context.AnalysisContext` is
+        live, its cached masks, index arrays, and foldable memoized
+        results are *extended* over the new rows instead of discarded
+        (see :meth:`AnalysisContext.apply_append`); otherwise the tables
+        grow and :meth:`invalidate` drops the context. Either way the
         generation advances, so generation-keyed consumers (the serve
         result cache) observe the mutation.
 

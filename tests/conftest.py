@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import CharacterizationStudy, StudyConfig
 from repro.platforms import cori, summit
+from repro.store.recordstore import RecordStore
 from repro.workloads.generator import (
     GeneratorConfig,
     WorkloadGenerator,
@@ -26,6 +27,20 @@ SEED = 20220627
 #: analyses always have data.
 SMALL_SCALE = 5e-4
 SHAPE_SCALE = 1e-3
+
+
+def fresh_store(store: RecordStore) -> RecordStore:
+    """A new store over ``store``'s arrays, with an empty analysis cache.
+
+    A store has one analysis context, so a test that needs a cold
+    recompute (rather than the shared store's memoized results) queries
+    a fresh store over the same rows.
+    """
+    return RecordStore(
+        store.platform, store.files, store.jobs,
+        domains=store.domains, extensions=store.extensions,
+        scale=store.scale, schema_version=store.schema_version,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -11,14 +11,17 @@ from __future__ import annotations
 import copy
 import gc
 import pickle
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.context import AnalysisContext, resolve
+from repro.analysis.context import AnalysisContext
 from repro.errors import AnalysisError
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
@@ -181,6 +184,7 @@ class TestGenerationInvalidation:
                 access()
 
     def test_extend_busts_the_cache_and_new_rows_are_seen(self):
+        """Rows written into the table in place, then ``invalidate()``."""
         store = build_store(
             [(LAYER_PFS, int(IOInterface.POSIX), -1, 10, 0)]
         )
@@ -189,17 +193,19 @@ class TestGenerationInvalidation:
         extra = empty_files(1)
         extra[0]["layer"] = LAYER_PFS
         extra[0]["interface"] = int(IOInterface.STDIO)
-        store.extend(extra)
+        store.files = np.concatenate([store.files, extra])
+        store.invalidate()
         with pytest.raises(AnalysisError, match="stale"):
             ctx.idx("unique")
         assert len(store.analysis().idx("unique")) == 2
 
     def test_extend_validates_dtype(self):
+        """Growing a store through ``append`` checks the row dtype."""
         from repro.errors import StoreError
 
         store = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
         with pytest.raises(StoreError):
-            store.extend(np.zeros(2, dtype=np.int64))
+            store.append(np.zeros(2, dtype=np.int64))
 
     def test_memoized_results_do_not_survive_invalidation(self):
         from repro.analysis import layer_volumes
@@ -215,7 +221,8 @@ class TestGenerationInvalidation:
         extra[0]["layer"] = LAYER_PFS
         extra[0]["interface"] = int(IOInterface.POSIX)
         extra[0]["bytes_read"] = 100
-        store.extend(extra)
+        store.files = np.concatenate([store.files, extra])
+        store.invalidate()
         after = layer_volumes(store)
         assert after is not before
         assert after.pfs.files == before.pfs.files + 1
@@ -237,22 +244,40 @@ class TestGenerationInvalidation:
 
 
 class TestResolve:
-    def test_resolve_defaults_to_store_context(self):
-        store = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
-        assert resolve(store, None) is store.analysis()
-
-    def test_resolve_rejects_foreign_context(self):
-        store_a = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
-        store_b = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
-        with pytest.raises(AnalysisError, match="different store"):
-            resolve(store_a, store_b.analysis())
+    """A store's one context per generation: shared, refused when stale."""
 
     def test_resolve_rejects_stale_context(self):
         store = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
         ctx = store.analysis()
         store.invalidate()
         with pytest.raises(AnalysisError, match="stale"):
-            resolve(store, ctx)
+            ctx.idx("unique")
+        assert store.analysis() is not ctx
+
+    def test_concurrent_callers_get_one_context(self, monkeypatch):
+        """Threads released together after ``invalidate()`` all get the
+        same new context, even when building one is slow."""
+        build = AnalysisContext.__init__
+
+        def slow_build(ctx, store):
+            time.sleep(0.01)  # widen the gap between check and assignment
+            build(ctx, store)
+
+        monkeypatch.setattr(AnalysisContext, "__init__", slow_build)
+        store = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])
+        stale = store.analysis()
+        store.invalidate()
+        barrier = threading.Barrier(8)
+
+        def get():
+            barrier.wait()
+            return store.analysis()
+
+        with ThreadPoolExecutor(8) as pool:
+            contexts = [f.result() for f in [pool.submit(get) for _ in range(8)]]
+        assert contexts[0] is not stale and not contexts[0].stale
+        assert all(c is contexts[0] for c in contexts)
+        assert store.analysis() is contexts[0]
 
     def test_cache_info_reports_kinds(self):
         store = build_store([(LAYER_PFS, int(IOInterface.POSIX), -1, 1, 1)])

@@ -108,9 +108,3 @@ def test_warm_rerun_returns_identical_objects(summit_store_small):
     second = fast.layer_volumes(summit_store_small)
     assert second is first
 
-
-def test_explicit_context_matches_default(summit_store_small):
-    ctx = summit_store_small.analysis()
-    via_explicit = fast.transfer_cdfs(summit_store_small, context=ctx)
-    via_default = fast.transfer_cdfs(summit_store_small)
-    assert via_explicit is via_default

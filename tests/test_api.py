@@ -132,9 +132,7 @@ class TestRunQuery:
     def test_equivalent_to_direct_call(self, summit_store_small):
         from repro.analysis import layer_volumes
 
-        direct = layer_volumes(
-            summit_store_small, context=summit_store_small.analysis()
-        )
+        direct = layer_volumes(summit_store_small)
         via_api = repro.run_query(summit_store_small, "table3")
         assert direct.to_rows() == via_api.to_rows()
 

@@ -466,7 +466,7 @@ class TestFederatedRegistry:
 
     def test_members_listing_renders(self, fleet):
         rows = federated_registry(fleet)["catalog_members"].run(
-            None, None, {}
+            None, {}
         ).to_rows()
         assert [r[0] for r in rows] == ["m0", "m1"]
         assert all(len(r) == 8 for r in rows)
@@ -474,7 +474,7 @@ class TestFederatedRegistry:
     def test_compare_spec_requires_both_labels(self, fleet):
         spec = federated_registry(fleet)["compare_table3"]
         with pytest.raises(CatalogError, match="a=<member> and b=<member>"):
-            spec.run(None, None, {"a": "m0"})
+            spec.run(None, {"a": "m0"})
 
 
 class TestRemoteMembers:

@@ -13,7 +13,6 @@ import time
 import pytest
 
 from repro.analysis import interface_usage, layer_volumes
-from repro.analysis.context import AnalysisContext
 from repro.obs import (
     SpanRecord,
     SpanStore,
@@ -31,6 +30,7 @@ from repro.obs.clock import ns_to_ms, ns_to_s, perf_ns, wall_anchor_ns
 from repro.obs.export import chrome_events, ndjson_lines
 from repro.obs.spans import PHASE_EVENT, PHASE_SPAN
 from repro.obs.tracer import _NOOP
+from tests.conftest import fresh_store
 
 
 @pytest.fixture()
@@ -53,12 +53,13 @@ def _no_leaked_tracer():
 def _instrumented_pass(store):
     """A cold-context Table 3 + Table 6 pass through the production
     instrumentation idiom: two analysis spans and one inner span."""
-    ctx = AnalysisContext(store)
+    store = fresh_store(store)
+    ctx = store.analysis()
     with analysis_span("table3", ctx):
-        layer_volumes(store, context=ctx)
+        layer_volumes(store)
     with analysis_span("table6", ctx):
         with trace_span("analysis.inner", "analysis") as sp:
-            interface_usage(store, context=ctx)
+            interface_usage(store)
             if sp is not None:
                 sp.add(rows=len(store.files))
 
@@ -435,7 +436,7 @@ class TestCliTrace:
         expected = {f"analysis.{n}" for n in
                     ("table2", "table3", "table4", "table5", "table6",
                      "fig3", "fig4", "fig5", "fig6", "fig7", "fig8",
-                     "fig9", "fig10", "fig11_12")}
+                     "fig9", "fig10", "fig11")}
         assert expected <= names
 
     @pytest.mark.parallel

@@ -99,7 +99,7 @@ class TestAdvisorMemo:
     def test_extend_recomputes_both_advisors(self, store, summit_store_small):
         staging = run_query(store, "advise_staging")
         aggregation = run_query(store, "advise_aggregation")
-        store.extend(summit_store_small.files[200_000:260_000])
+        store.append(summit_store_small.files[200_000:260_000])
         hits, misses = store.analysis().cache_counts()
         restaged = run_query(store, "advise_staging")
         reaggregated = run_query(store, "advise_aggregation")

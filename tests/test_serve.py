@@ -40,6 +40,7 @@ from repro.serve import (
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import LatencyHistogram, Metrics
 from repro.serve.registry import QuerySpec, exhibit_names, validate_params
+from tests.conftest import fresh_store
 
 
 def _spec(name, fn, *, params=(), cacheable=True):
@@ -58,7 +59,7 @@ class _Probe:
         self.event = event
         self._lock = threading.Lock()
 
-    def __call__(self, store, ctx, params):
+    def __call__(self, store, params):
         with self._lock:
             self.calls += 1
         if self.event is not None:
@@ -121,10 +122,9 @@ class TestEquivalence:
         spec = registry[name]
         with QueryEngine(summit_store_small, max_workers=2) as engine:
             served = engine.query(name)
-        # A pinned, empty context: the direct path recomputes from raw
-        # rows rather than sharing the engine's memoized results.
-        fresh = AnalysisContext(summit_store_small)
-        direct = spec.run(summit_store_small, fresh, {})
+        # A fresh store over the same rows: the direct path recomputes
+        # from raw rows rather than sharing the engine's memoized results.
+        direct = spec.run(fresh_store(summit_store_small), {})
         assert serialize_result(spec, served) == serialize_result(spec, direct)
         if spec.kind == "table":
             assert render_results(spec.title, spec.headers, served) == \
@@ -201,19 +201,11 @@ class TestCaching:
         assert counters["executions"] == 1
 
     def test_store_mutation_invalidates(self, summit_store_small):
-        from repro.store.recordstore import RecordStore
         from repro.store.schema import FILE_DTYPE, JOB_DTYPE
 
-        # A private copy: mutating the session-scoped store would poison
+        # A private store: mutating the session-scoped one would poison
         # every other test's generation-keyed caches.
-        store = RecordStore(
-            summit_store_small.platform,
-            summit_store_small.files.copy(),
-            summit_store_small.jobs.copy(),
-            domains=summit_store_small.domains,
-            extensions=summit_store_small.extensions,
-            scale=summit_store_small.scale,
-        )
+        store = fresh_store(summit_store_small)
         probe = _Probe()
         with QueryEngine(
             store, max_workers=2,
@@ -222,7 +214,7 @@ class TestCaching:
             engine.query("probe", timeout=30)
             engine.query("probe", timeout=30)
             assert probe.calls == 1
-            store.extend(
+            store.append(
                 np.empty(0, dtype=FILE_DTYPE), np.empty(0, dtype=JOB_DTYPE)
             )
             engine.query("probe", timeout=30)
@@ -284,9 +276,7 @@ class TestClosedLoad:
         herd = QuerySpec(
             name="fig11_cold", title="Figure 11 recomputed from raw rows",
             kind="table", header_key="fig11",
-            run=lambda s, ctx, params: performance_by_bin(
-                s, context=AnalysisContext(s)
-            ),
+            run=lambda s, params: performance_by_bin(fresh_store(s)),
         )
         with QueryEngine(
             store, max_workers=4, cache_entries=0,
@@ -439,9 +429,7 @@ class TestServerClient:
     def test_wire_result_matches_local_serialization(self, served, summit_store_small):
         engine, client = served
         spec = default_registry()["table3"]
-        direct = spec.run(
-            summit_store_small, AnalysisContext(summit_store_small), {}
-        )
+        direct = spec.run(fresh_store(summit_store_small), {})
         assert client.query("table3") == serialize_result(spec, direct)
 
     def test_wire_errors_are_typed(self, served):
@@ -481,7 +469,7 @@ class TestServerClient:
         an analysis left the request task dead and the client hanging
         until its socket timeout.
         """
-        def _explode(store, ctx, params):
+        def _explode(store, params):
             raise KeyError("no panel for layer='insystem'")
 
         broken = _spec("broken", _explode)

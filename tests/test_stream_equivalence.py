@@ -224,7 +224,7 @@ class TestFoldAssociativity:
     """
 
     FOLDED = [
-        (name, lambda s, spec=spec: spec.run(s, None, {}))
+        (name, lambda s, spec=spec: spec.run(s, {}))
         for name, spec in sorted(default_registry().items())
         if spec.foldable
     ]
