@@ -3,18 +3,21 @@
 Every analysis in this package slices ``store.files`` along the same few
 axes — storage layer, I/O interface, shared-file rank, nonzero bytes per
 direction — and the seed implementation recomputed those boolean masks
-(and copied full 250-byte rows, histograms included) once per analysis.
+(and copied full 262-byte rows, histograms included) once per analysis.
 At facility scale that per-metric rescan dominates: the four stress-test
 analyses together fell under the 300k rows/s floor.
 
-:class:`AnalysisContext` is the shared plan. It lazily computes each
-predicate **once** as a boolean mask, intersects masks into compact
-``int64`` index arrays, caches the derived columns (total transfer per
-direction, per-file bandwidth, op-class), and memoizes whole analysis
-results. Everything is keyed on the owning store's *generation*: an
-in-place mutation followed by :meth:`RecordStore.invalidate` bumps the
-counter and a stale context refuses to serve anything rather than
-return stale index arrays.
+:class:`AnalysisContext` is the shared plan. It copies each scalar
+column it is asked for **once** out of the wide row table into a
+contiguous array, lazily computes each predicate once as a boolean mask,
+intersects masks into compact ``int64`` index arrays, caches the derived
+columns (total transfer per direction, per-file bandwidth, op-class),
+and memoizes whole analysis results. Gathers of a column at an index
+array are cheap reads of the contiguous copy and are not cached.
+Everything is keyed on the owning store's *generation*: an in-place
+mutation followed by :meth:`RecordStore.invalidate` bumps the counter
+and a stale context refuses to serve anything rather than return stale
+index arrays.
 
 A store has one context per generation, and every analysis entry point
 reads it through :meth:`RecordStore.analysis`; there is no way to hand
@@ -23,7 +26,7 @@ an entry point a different one. A cold recompute needs a new
 
 **Append-only growth** (the ``repro.stream`` ingest path) gets a cheaper
 discipline than full invalidation: :meth:`AnalysisContext.apply_append`
-extends every cached mask, index array, gather, and derived column in
+extends every cached column, mask, index array, and derived column in
 place over just the new rows (every predicate is row-local, so the tail
 rows' values are computable from the tail alone), and folds memoized
 *results* whose aggregates reduce associatively — exact ``int64`` sums,
@@ -62,6 +65,9 @@ T = TypeVar("T")
 #: forms. "unique" follows the paper's §3.1 accounting: a file accessed
 #: via MPI-IO is counted once, through its POSIX record.
 _BASE_MASKS = ("unique", "shared", "large_jobs")
+
+#: Rows per gather in :meth:`AnalysisContext.hist_sum`.
+_HIST_CHUNK = 65536
 
 #: Foldable memoized results: result name (the second element of a
 #: ``("result", name, *params)`` memo key) -> ``(compute, merge)``. See
@@ -124,7 +130,7 @@ class AnalysisContext:
         self._misses = 0
         # Capacity-backed growth buffers for the append path: memo
         # values are views of these over-allocated arrays, so extending
-        # a mask/idx/gather over appended rows writes just the tail
+        # a column/mask/idx over appended rows writes just the tail
         # instead of reallocating O(n) per append. Keyed like _memo.
         self._grow: dict[Hashable, np.ndarray] = {}
         # Concurrent readers (repro.serve worker threads) share one
@@ -224,7 +230,7 @@ class AnalysisContext:
         under the context lock, so concurrent readers (serve workers)
         observe either the fully-old or the fully-new state.
 
-        Every cached mask/idx/gather/derived column is extended over
+        Every cached column/mask/idx/derived column is extended over
         just the tail rows; memoized results fold through their
         registered ``(compute, merge)`` or are dropped. Any failure
         inside the delta update falls back to clearing the memo
@@ -272,10 +278,11 @@ class AnalysisContext:
     ) -> None:
         """Extend every cached array entry over the appended rows.
 
-        All primitives are row-local (each row's mask/derived value is a
-        function of that row alone) and row-order-preserving (``idx`` is
-        ascending, gathers follow it), so the grown entry is exactly the
-        old entry followed by the tail entry computed on the tail rows.
+        All primitives are row-local (each row's column/mask/derived
+        value is a function of that row alone) and row-order-preserving
+        (columns follow the table, ``idx`` is ascending), so the grown
+        entry is exactly the old entry followed by the tail entry
+        computed on the tail rows.
         """
         for key in list(self._memo):
             if isinstance(key, tuple):
@@ -291,14 +298,12 @@ class AnalysisContext:
                         key[1], *key[2]
                     )
                     continue
-                if kind == "mask":
+                if kind == "column":
+                    tail = tail_ctx.column(key[1])
+                elif kind == "mask":
                     tail = tail_ctx.mask(key[1])
                 elif kind == "idx":
                     tail = tail_ctx.idx(*key[1]) + n_old
-                elif kind == "gather":
-                    tail = tail_ctx.gather(key[1], *key[2])
-                elif kind == "positive":
-                    tail = tail_ctx.positive(key[1], *key[2])
                 elif kind == "bandwidth":
                     tail = tail_ctx.bandwidth(key[1])
                 else:  # unknown kind: drop rather than guess
@@ -373,11 +378,21 @@ class AnalysisContext:
                 self._hits += 1
             return value
 
-    # -- columns (views, never copies) --------------------------------------
+    # -- columns (one contiguous copy each) ---------------------------------
     def column(self, name: str) -> np.ndarray:
-        """A column view of ``store.files`` (no row copies)."""
-        self._check_fresh()
-        return self.store.files[name]
+        """One column of ``store.files`` as a cached contiguous copy.
+
+        A field of the structured file table is a strided view: every
+        read of it walks the whole 262-byte-row table (mmap-loaded, for
+        saved stores). Copying each column once makes every later mask,
+        gather and derived column a sequential pass over that one field.
+        Histogram columns are not read through here (see
+        :meth:`hist_sum`).
+        """
+        return self.cached(
+            ("column", name),
+            lambda: np.ascontiguousarray(self.store.files[name]),
+        )
 
     # -- boolean masks -------------------------------------------------------
     def mask(self, key) -> np.ndarray:
@@ -391,21 +406,21 @@ class AnalysisContext:
         return self.cached(("mask", key), lambda: self._compute_mask(key))
 
     def _compute_mask(self, key) -> np.ndarray:
-        f = self.store.files
+        col = self.column
         if key == "unique":
-            return f["interface"] != int(IOInterface.MPIIO)
+            return col("interface") != int(IOInterface.MPIIO)
         if key == "shared":
-            return f["rank"] == -1
+            return col("rank") == -1
         if key == "large_jobs":
-            return f["nprocs"] > 1024
+            return col("nprocs") > 1024
         if isinstance(key, tuple) and len(key) == 2:
             kind, arg = key
             if kind == "layer":
-                return f["layer"] == arg
+                return col("layer") == arg
             if kind == "interface":
-                return f["interface"] == int(arg)
+                return col("interface") == int(arg)
             if kind == "pos":
-                return f[arg] > 0
+                return col(arg) > 0
         raise AnalysisError(f"unknown mask key {key!r}")
 
     # -- index arrays --------------------------------------------------------
@@ -477,11 +492,16 @@ class AnalysisContext:
 
     # -- grouped gathers -----------------------------------------------------
     def gather(self, column: str, *keys) -> np.ndarray:
-        """Cached column values at ``idx(*keys)`` (one compact copy)."""
-        keys = tuple(sorted(keys, key=repr))
-        return self.cached(
-            ("gather", column, keys), lambda: self.column(column)[self.idx(*keys)]
-        )
+        """Column values at ``idx(*keys)``: a new compact copy per call.
+
+        Not memoized: indexing the cached contiguous column is cheap,
+        and a second cached copy of every gathered group would grow the
+        memo by the size of the columns it already holds. The column and
+        the index array are read under the context lock, so an append
+        from another thread cannot land between them.
+        """
+        with self._lock:
+            return self.column(column)[self.idx(*keys)]
 
     def hist_sum(self, column: str, *keys) -> np.ndarray:
         """Per-bin ``int64`` totals of a histogram column at ``idx(*keys)``.
@@ -490,27 +510,34 @@ class AnalysisContext:
         primitive (rather than inside the analysis result) because bin
         totals reduce associatively and exactly in ``int64`` — the append
         path adds the tail's totals instead of re-reading every row.
+        Reads the strided table directly: a contiguous copy of a 10-bin
+        histogram column is ten scalar columns wide, and the gather
+        touches only the selected rows. It gathers and sums
+        ``_HIST_CHUNK`` rows at a time, so the temporary stays at 5 MB
+        instead of growing by 80 bytes per selected row; ``int64`` sums
+        are exact, so the totals do not depend on the chunking.
         """
+
+        def compute() -> np.ndarray:
+            table = self.store.files[column]
+            idx = self.idx(*keys)
+            totals = np.zeros(table.shape[1:], dtype=table.dtype)
+            for start in range(0, len(idx), _HIST_CHUNK):
+                totals += table[idx[start : start + _HIST_CHUNK]].sum(axis=0)
+            return totals
+
         keys = tuple(sorted(keys, key=repr))
-        return self.cached(
-            ("hist_sum", column, keys),
-            lambda: self.column(column)[self.idx(*keys)].sum(axis=0),
-        )
+        return self.cached(("hist_sum", column, keys), compute)
 
     def positive(self, column: str, *keys) -> np.ndarray:
-        """Cached positive entries of a gathered column.
+        """Positive entries of :meth:`gather` (not memoized).
 
         This is the per-(group, direction) value set behind the transfer
         CDFs: files with zero bytes in a direction do not enter that
         direction's curve.
         """
-
-        def compute() -> np.ndarray:
-            vals = self.gather(column, *keys)
-            return vals[vals > 0]
-
-        keys = tuple(sorted(keys, key=repr))
-        return self.cached(("positive", column, keys), compute)
+        vals = self.gather(column, *keys)
+        return vals[vals > 0]
 
     def __repr__(self) -> str:
         store = self._store()

@@ -82,11 +82,9 @@ class DomainUsage:
 
 def _collect(ctx: AnalysisContext, flavor: str, *keys) -> DomainUsage:
     store = ctx.store
-    f = store.files
-    idx = ctx.idx(*keys)
-    codes = f["domain"][idx]
-    bytes_read = f["bytes_read"][idx]
-    bytes_written = f["bytes_written"][idx]
+    codes = ctx.gather("domain", *keys)
+    bytes_read = ctx.gather("bytes_read", *keys)
+    bytes_written = ctx.gather("bytes_written", *keys)
     volumes: dict[str, tuple[int, int]] = {}
     for code in np.unique(codes):
         per = codes == code
@@ -95,7 +93,7 @@ def _collect(ctx: AnalysisContext, flavor: str, *keys) -> DomainUsage:
             int(bytes_read[per].sum()),
             int(bytes_written[per].sum()),
         )
-    job_ids = np.unique(f["job_id"][idx])
+    job_ids = np.unique(ctx.gather("job_id", *keys))
     jobs = store.jobs[np.isin(store.jobs["job_id"], job_ids)]
     jobs_by_domain: dict[str, int] = {}
     for code in np.unique(jobs["domain"]):

@@ -97,6 +97,27 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
     return float(((rx - rx.mean()) * (ry - ry.mean())).mean() / (sx * sy))
 
 
+def _isin_sorted(ids: np.ndarray, pool: np.ndarray) -> np.ndarray:
+    """``np.isin(ids, pool)`` by a sorted probe.
+
+    Sorts ``ids``, binary-searches them into the sorted ``pool``,
+    compares, and scatters the answers back to ``ids``' order. Probing
+    in sorted order keeps the searches' memory access sequential: on
+    summit's 0.53M POSIX record ids against 0.1M MPI-IO ones (2-core
+    x86 box) it took 35-50 ms against 61-69 ms for ``np.isin``, and
+    probing the unsorted ids 90-99 ms.
+    """
+    found = np.zeros(len(ids), dtype=bool)
+    if not len(ids) or not len(pool):
+        return found
+    pool = np.sort(pool)
+    order = np.argsort(ids)
+    probe = ids[order]
+    at = np.minimum(np.searchsorted(pool, probe), len(pool) - 1)
+    found[order] = pool[at] == probe
+    return found
+
+
 def tuning_report(
     store: RecordStore,
     *,
@@ -142,7 +163,7 @@ def _compute(ctx: AnalysisContext, min_jobs: int) -> TuningReport:
     )
     # A POSIX row is an MPI-IO shadow when any MPI-IO row in the store
     # shares its record id (the set is global, not per job).
-    shadows = np.isin(
+    shadows = _isin_sorted(
         ctx.gather("record_id", posix),
         ctx.gather("record_id", ("interface", int(IOInterface.MPIIO))),
     )

@@ -82,7 +82,6 @@ def user_activity(store: RecordStore) -> UserActivity:
 def _compute(ctx: AnalysisContext) -> UserActivity:
     store = ctx.store
     jobs = store.jobs
-    files = store.files
     if not len(jobs):
         raise AnalysisError("store has no jobs")
     users, job_counts = np.unique(jobs["user_id"], return_counts=True)
@@ -90,14 +89,15 @@ def _compute(ctx: AnalysisContext) -> UserActivity:
 
     file_counts = np.zeros(len(users), dtype=np.int64)
     byte_counts = np.zeros(len(users), dtype=np.int64)
-    fu, fc = np.unique(files["user_id"], return_counts=True)
+    file_users = ctx.column("user_id")
+    fu, fc = np.unique(file_users, return_counts=True)
     for u, c in zip(fu, fc):
         idx = user_index.get(int(u))
         if idx is not None:
             file_counts[idx] = c
     volumes = ctx.transfer_sizes()
-    order = np.argsort(files["user_id"], kind="stable")
-    sorted_users = files["user_id"][order]
+    order = np.argsort(file_users, kind="stable")
+    sorted_users = file_users[order]
     sorted_vol = volumes[order]
     boundaries = np.searchsorted(sorted_users, users)
     boundaries = np.append(boundaries, len(sorted_users))

@@ -44,6 +44,7 @@ Example::
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 from repro.core import CharacterizationStudy, StudyConfig
@@ -162,9 +163,9 @@ def run_query(
     :class:`~repro.errors.UnknownQueryError` for unknown names and
     :class:`~repro.errors.ServeError` for bad parameters.
     """
-    from repro.serve.registry import default_registry, validate_params
+    from repro.serve.registry import validate_params
 
-    registry = default_registry()
+    registry = _query_registry()
     spec = registry.get(name)
     if spec is None:
         raise UnknownQueryError(
@@ -182,6 +183,19 @@ def list_queries() -> list[str]:
     answers (the server adds its two engine-level meta queries,
     ``stats`` and ``queries``, on top).
     """
+    return sorted(_query_registry())
+
+
+@functools.cache
+def _query_registry() -> Mapping:
+    """The built-in registry, built once per process.
+
+    :func:`~repro.serve.registry.default_registry` builds every
+    ``QuerySpec`` and the what-if catalog afresh on each call, and a
+    study runs dozens of queries. The built-in table does not change at
+    run time, so the API reads one shared copy; it hands out no
+    reference to it, and never mutates it.
+    """
     from repro.serve.registry import default_registry
 
-    return sorted(default_registry())
+    return default_registry()

@@ -151,7 +151,120 @@ class TestMaskAndIndexCaching:
         keys = (("layer", LAYER_PFS), ("interface", int(IOInterface.POSIX)))
         np.testing.assert_array_equal(ctx.gather("bytes_read", *keys), [10, 0])
         np.testing.assert_array_equal(ctx.positive("bytes_read", *keys), [10])
-        assert ctx.positive("bytes_read", *keys) is ctx.positive("bytes_read", *keys)
+        # Gathers are not memoized; what they read is: the one cached
+        # column and the one cached index array.
+        column, idx = ctx.column("bytes_read"), ctx.idx(*keys)
+        hits, misses = ctx.cache_counts()
+        ctx.positive("bytes_read", *keys)
+        assert ctx.cache_counts() == (hits + 2, misses)
+        assert ctx.column("bytes_read") is column and ctx.idx(*keys) is idx
+        assert "gather" not in ctx.cache_info()
+        assert "positive" not in ctx.cache_info()
+
+
+class TestColumnCache:
+    """``column()`` is one contiguous copy per field, kept for the generation."""
+
+    ROWS = [
+        (LAYER_PFS, int(IOInterface.POSIX), -1, 10, 0),
+        (LAYER_INSYSTEM, int(IOInterface.STDIO), 3, 0, 7),
+        (LAYER_PFS, int(IOInterface.MPIIO), -1, 5, 5),
+    ]
+
+    def test_column_is_a_cached_contiguous_copy(self):
+        store = build_store(self.ROWS)
+        ctx = store.analysis()
+        for name in ("bytes_read", "layer", "rank", "record_id"):
+            column = ctx.column(name)
+            assert column.flags.c_contiguous
+            assert column.dtype == store.files.dtype[name]
+            np.testing.assert_array_equal(column, store.files[name])
+            assert ctx.column(name) is column
+        assert not store.files["bytes_read"].flags.c_contiguous
+
+    def test_warm_column_grows_with_append(self, monkeypatch):
+        import repro.analysis.context as context_module
+
+        fallbacks = []
+        real_event = context_module.trace_event
+
+        def record_event(name, *args, **kwargs):
+            fallbacks.append(name)
+            return real_event(name, *args, **kwargs)
+
+        monkeypatch.setattr(context_module, "trace_event", record_event)
+        store = build_store(self.ROWS)
+        ctx = store.analysis()
+        ctx.column("bytes_read")
+        tail = build_store(
+            [(LAYER_PFS, int(IOInterface.POSIX), 0, 99, 1)] * 2
+        ).files
+        store.append(tail)
+        assert not ctx.stale and store.analysis() is ctx
+        hits, misses = ctx.cache_counts()
+        column = ctx.column("bytes_read")
+        assert ctx.cache_counts() == (hits + 1, misses)
+        assert column.flags.c_contiguous
+        np.testing.assert_array_equal(column, store.files["bytes_read"])
+        assert column.tolist() == [10, 0, 5, 99, 99]
+        assert "analysis.delta_fallback" not in fallbacks
+
+    def test_gathers_racing_appends_see_one_generation(self):
+        """Readers gather while another thread appends: every gather is
+        a prefix of the final column, never a mix of two generations."""
+        import sys
+
+        store = build_store([(LAYER_PFS, int(IOInterface.POSIX), 0, 1, 0)])
+        ctx = store.analysis()
+        ctx.gather("bytes_read", "unique")
+        appends = 150
+        errors: list[BaseException] = []
+        results: list[list[int]] = []
+        done = threading.Event()
+
+        def read():
+            try:
+                while not done.is_set():
+                    results.append(ctx.gather("bytes_read", "unique").tolist())
+            except BaseException as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for t in readers:
+                t.start()
+            for i in range(appends):
+                store.append(
+                    build_store(
+                        [(LAYER_PFS, int(IOInterface.POSIX), 0, i + 2, 0)]
+                    ).files
+                )
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+            for t in readers:
+                t.join(timeout=30)
+        assert not any(t.is_alive() for t in readers)
+        assert not errors, errors[0]
+        final = list(range(1, appends + 2))
+        assert ctx.gather("bytes_read", "unique").tolist() == final
+        assert results and all(r == final[: len(r)] for r in results)
+
+    @given(st.lists(row_strategy, min_size=1, max_size=30))
+    @settings(max_examples=25, deadline=None)
+    def test_hist_sum_equals_direct_sum(self, rows):
+        store = build_store(rows)
+        rng = np.random.default_rng(len(rows))
+        store.files["read_hist"] = rng.integers(0, 1000, (len(rows), 10))
+        ctx = store.analysis()
+        for keys in (("unique",), (("layer", LAYER_PFS), "shared")):
+            idx = ctx.idx(*keys)
+            np.testing.assert_array_equal(
+                ctx.hist_sum("read_hist", *keys),
+                store.files["read_hist"][idx].sum(axis=0),
+            )
 
 
 class TestGenerationInvalidation:
@@ -341,13 +454,15 @@ class TestStoreLifetime:
     )
     def test_store_round_trips_with_its_warm_context(self, clone):
         store = build_store(self.ROWS)
-        cached = store.analysis().gather("bytes_read", "unique")
+        column = store.analysis().column("bytes_read")
+        idx = store.analysis().idx("unique")
         restored = clone(store)
         ctx = restored.analysis()
         assert ctx is restored._analysis and ctx.store is restored
         hits, misses = ctx.cache_counts()
-        assert ctx.gather("bytes_read", "unique").tolist() == cached.tolist()
-        assert ctx.cache_counts() == (hits + 1, misses)
+        assert ctx.column("bytes_read").tolist() == column.tolist()
+        assert ctx.idx("unique").tolist() == idx.tolist()
+        assert ctx.cache_counts() == (hits + 2, misses)
         # The restored context holds the restored store weakly too.
         ref = weakref.ref(restored)
         gc.disable()

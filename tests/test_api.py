@@ -147,6 +147,33 @@ class TestRunQuery:
         with pytest.raises(UnknownQueryError, match="unknown query 'nope'"):
             repro.run_query(summit_store_small, "nope")
 
+    def test_registry_is_built_once_per_process(
+        self, summit_store_small, monkeypatch
+    ):
+        import repro.api
+        import repro.serve.registry as registry_module
+        from repro.errors import UnknownQueryError
+
+        builds = []
+        real_build = registry_module.default_registry
+
+        def counting_build():
+            builds.append(1)
+            return real_build()
+
+        monkeypatch.setattr(registry_module, "default_registry", counting_build)
+        repro.api._query_registry.cache_clear()
+        try:
+            repro.run_query(summit_store_small, "table3")
+            repro.run_query(summit_store_small, "table6")
+            assert len(builds) == 1
+            with pytest.raises(UnknownQueryError) as err:
+                repro.run_query(summit_store_small, "nope")
+            assert "table3" in str(err.value) and "fig11" in str(err.value)
+            assert len(builds) == 1
+        finally:
+            repro.api._query_registry.cache_clear()
+
     def test_bad_params_rejected(self, summit_store_small):
         from repro.errors import ServeError
 

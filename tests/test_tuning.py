@@ -2,8 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.analysis.tuning import TuningReport, _spearman, tuning_report
+from repro.analysis.tuning import (
+    TuningReport,
+    _isin_sorted,
+    _spearman,
+    tuning_report,
+)
 from repro.errors import AnalysisError
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_PFS, empty_files, empty_jobs
@@ -82,3 +89,26 @@ class TestTuningReport:
     def test_empty_report(self):
         report = TuningReport("summit", ())
         assert np.isnan(report.fraction("flat"))
+
+
+#: Record ids drawn from both ends of the uint64 range, so duplicates
+#: are common and the probe meets ids at ``2**64 - 1``.
+_record_ids = st.lists(
+    st.one_of(
+        st.integers(0, 20),
+        st.integers(2**64 - 20, 2**64 - 1),
+    ),
+    max_size=60,
+).map(lambda ids: np.array(ids, dtype=np.uint64))
+
+
+class TestShadowProbe:
+    @given(_record_ids, _record_ids)
+    @settings(max_examples=200, deadline=None)
+    def test_sorted_probe_equals_isin(self, ids, pool):
+        np.testing.assert_array_equal(_isin_sorted(ids, pool), np.isin(ids, pool))
+
+    def test_empty_pool_is_all_false(self):
+        ids = np.array([3, 2**64 - 1, 3], dtype=np.uint64)
+        found = _isin_sorted(ids, np.array([], dtype=np.uint64))
+        assert found.dtype == bool and found.tolist() == [False] * 3
