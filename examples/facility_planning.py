@@ -24,17 +24,13 @@ from repro.iosim import FacilityReplay, IorConfig, probe_series
 from repro.middleware import AccessPlan, WriteBackChunkCache, place_dataset
 from repro.platforms import summit
 from repro.units import GiB, KiB, MiB, format_size
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 def main() -> int:
     machine = summit()
-    store = generate_with_shadows(
-        WorkloadGenerator("summit", GeneratorConfig(scale=5e-4)), 20220627
+    store = WorkloadGenerator("summit", GeneratorConfig(scale=5e-4)).generate(
+        20220627, shadows=True
     )
 
     # ---- 1. layer demand ------------------------------------------------

@@ -29,17 +29,13 @@ from repro.optimize import (
 )
 from repro.platforms import cori, summit
 from repro.units import GB, format_size
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 def main() -> int:
     machine = summit()
-    store = generate_with_shadows(
-        WorkloadGenerator("summit", GeneratorConfig(scale=2e-4)), 20220627
+    store = WorkloadGenerator("summit", GeneratorConfig(scale=2e-4)).generate(
+        20220627, shadows=True
     )
     print(f"advising on {store!r}\n")
 

@@ -23,11 +23,7 @@ from repro.instrument import LogMaterializer
 from repro.platforms import cori
 from repro.store.ingest import ingest_logs
 from repro.units import format_size
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 def main() -> int:
@@ -38,7 +34,7 @@ def main() -> int:
 
     machine = cori()
     gen = WorkloadGenerator("cori", GeneratorConfig(scale=5e-5))
-    store = generate_with_shadows(gen, 1234)
+    store = gen.generate(1234, shadows=True)
     materializer = LogMaterializer(machine, store)
 
     # --- write a directory of logs --------------------------------------

@@ -25,16 +25,12 @@ from repro.analysis import (
 from repro.analysis.performance import panel
 from repro.platforms.interfaces import IOInterface
 from repro.units import format_count, format_size
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 def main() -> int:
     gen = WorkloadGenerator("summit", GeneratorConfig(scale=5e-4))
-    store = generate_with_shadows(gen, 20220627)
+    store = gen.generate(20220627, shadows=True)
     print(f"generated {store!r}\n")
 
     # --- interface shares (Table 6 view) --------------------------------

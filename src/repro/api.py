@@ -119,18 +119,12 @@ def generate_store(
         )
     if platform is None:
         raise SpecError("platform", "required unless spec=... is given")
-    from repro.workloads.generator import (
-        GeneratorConfig,
-        WorkloadGenerator,
-        generate_with_shadows,
-    )
+    from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
     generator = WorkloadGenerator(
         platform, GeneratorConfig(scale=1e-3 if scale is None else scale)
     )
-    if shadows:
-        return generate_with_shadows(generator, seed)
-    return generator.generate(seed)
+    return generator.generate(seed, shadows=shadows)
 
 
 def list_specs() -> list[str]:

@@ -43,11 +43,7 @@ from repro.platforms.interfaces import IOInterface
 from repro.serve.registry import default_registry, exhibit_names, serialize_result
 from repro.store.io import load_store, save_store
 from repro.units import format_size, parse_size
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -460,7 +456,7 @@ def _cmd_generate(args) -> int:
         provenance = f" (spec {spec.name})"
     else:
         gen = WorkloadGenerator(args.platform, GeneratorConfig(scale=args.scale))
-        store = generate_with_shadows(gen, args.seed)
+        store = gen.generate(args.seed, shadows=True)
         provenance = ""
     save_store(store, args.out)
     print(f"wrote {store!r} to {args.out}{provenance}")

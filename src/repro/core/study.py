@@ -7,11 +7,7 @@ from dataclasses import dataclass, field, fields
 from repro.analysis.report import HEADERS, render_results
 from repro.core.config import StudyConfig
 from repro.store.recordstore import RecordStore
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 
 @dataclass
@@ -73,7 +69,7 @@ class CharacterizationStudy:
             )
         if key not in self._stores:
             gen = WorkloadGenerator(key, self.config.generator_config())
-            self._stores[key] = generate_with_shadows(gen, self.config.seed)
+            self._stores[key] = gen.generate(self.config.seed, shadows=True)
         return self._stores[key]
 
     def run(self, platform: str) -> StudyResults:

@@ -20,6 +20,15 @@ from repro.darshan.accumulate import (
 )
 from repro.darshan.bins import ACCESS_SIZE_BINS
 
+_EDGES = np.asarray(ACCESS_SIZE_BINS.edges, dtype=np.float64)
+#: Per bin: the smallest op size (1 byte in the 0-bin, so a zero-size
+#: read never appears) and the bytes an op can add without leaving its
+#: bin (0 for the open-ended top bin, which takes any remainder whole).
+_LOWEST = np.where(_EDGES[:-1] > 0, _EDGES[:-1], 1).astype(np.int64)
+_ROOM = np.where(
+    np.isfinite(_EDGES[1:]), _EDGES[1:] - 1 - _LOWEST, 0
+).astype(np.int64)
+
 
 def _sizes_for_histogram(hist: np.ndarray, total_bytes: int) -> np.ndarray:
     """Request sizes matching a bin histogram and summing to total_bytes.
@@ -36,41 +45,27 @@ def _sizes_for_histogram(hist: np.ndarray, total_bytes: int) -> np.ndarray:
         if total_bytes:
             raise ValueError("bytes without operations")
         return np.empty(0, dtype=np.int64)
-    edges = ACCESS_SIZE_BINS.edges
-    sizes = np.empty(nops, dtype=np.int64)
-    lower = np.empty(nops, dtype=np.int64)
-    upper = np.empty(nops, dtype=np.float64)
-    pos = 0
-    for b in range(ACCESS_SIZE_BINS.nbins):
-        n = int(hist[b])
-        if n == 0:
-            continue
-        lo = int(edges[b]) if edges[b] > 0 else 1
-        hi = edges[b + 1]
-        sizes[pos : pos + n] = lo
-        lower[pos : pos + n] = lo
-        upper[pos : pos + n] = hi - 1 if np.isfinite(hi) else np.inf
-        pos += n
+    sizes = np.repeat(_LOWEST, hist)
     remainder = total_bytes - int(sizes.sum())
     if remainder < 0:
         raise ValueError(
             f"total_bytes {total_bytes} below histogram floor {int(sizes.sum())}"
         )
-    # Fill headroom from the largest bins down.
-    for i in range(nops - 1, -1, -1):
-        if remainder == 0:
-            break
-        room = upper[i] - sizes[i]
-        add = int(min(room, remainder)) if np.isfinite(room) else remainder
-        sizes[i] += add
-        remainder -= add
-    if remainder:
-        # Every op is at its bin ceiling and bytes remain (possible only
-        # for histograms built from integer-rounded means). Dump the rest
-        # on the largest op: byte totals stay exact at the cost of that
-        # one op drifting a bin — the accumulator recomputes the histogram
-        # from actual sizes, so the log stays self-consistent.
+    if hist[-1]:
+        # The largest op sits in the open-ended top bin: it takes it all.
         sizes[-1] += remainder
+        return sizes
+    # Fill headroom from the largest op down: each op takes its whole
+    # room until the remainder runs out, the next one what is left.
+    room = np.repeat(_ROOM, hist)[::-1]
+    add = np.clip(remainder - (np.cumsum(room) - room), 0, room)
+    sizes += add[::-1]
+    # Every op is at its bin ceiling and bytes may remain (possible only
+    # for histograms built from integer-rounded means). Dump the rest on
+    # the largest op: byte totals stay exact at the cost of that one op
+    # drifting a bin — the accumulator recomputes the histogram from
+    # actual sizes, so the log stays self-consistent.
+    sizes[-1] += remainder - int(add.sum())
     return sizes
 
 

@@ -8,23 +8,29 @@ attributes, and the worker-to-parent record round trip used by
 
 Span name/category conventions (one ``layer.verb`` namespace per layer):
 
-=============  ==========================================================
-category       spans
-=============  ==========================================================
-``cli``        ``cli.study``, ``cli.generate``, ``cli.analyze``, ...
-``workloads``  ``workloads.generate``, ``workloads.sample_jobs``,
-               ``workloads.assemble``, ``workloads.shadows``
-``ingest``     ``ingest.paths``, ``ingest.shard``, ``ingest.logs``
-``store``      ``store.merge``
-``parallel``   ``parallel.run`` plus adopted worker tracks (one export
-               track per shard thread)
-``analysis``   ``analysis.<entry point>`` with ``cache_hits`` /
-               ``cache_misses`` attributes
-``serve``      ``serve.request``, ``serve.execute`` plus
-               ``serve.cache_hit`` / ``serve.coalesced`` /
-               ``serve.shed`` / ``serve.timeout`` instant events
-=============  ==========================================================
-"""
+==============  =========================================================
+category        spans
+==============  =========================================================
+``cli``         ``cli.study``, ``cli.generate``, ``cli.analyze``, ...
+``workloads``   ``workloads.generate``, with ``workloads.sample_jobs``,
+                ``workloads.assemble`` and ``workloads.shadows`` nested
+                in it
+``ingest``      ``ingest.paths``, ``ingest.shard``, ``ingest.logs``
+``store``       ``store.merge``
+``parallel``    ``parallel.run`` plus adopted worker tracks (one export
+                track per shard thread)
+``analysis``    ``analysis.<entry point>`` with ``cache_hits`` /
+                ``cache_misses`` attributes
+``serve``       ``serve.request``, ``serve.execute``, ``serve.refresh``
+                plus ``serve.cache_hit`` / ``serve.coalesced`` /
+                ``serve.shed`` / ``serve.timeout`` instant events
+``stream``      ``stream.poll``, ``stream.apply``, ``stream.follow``
+``whatif``      ``whatif.sweep``, ``whatif.shard``, ``whatif.point``
+``federation``  ``federation.query``, ``federation.member``,
+                ``federation.remote``, ``federation.merge``,
+                ``federation.compare``, ``catalog.verify``
+==============  =========================================================
+""" 
 
 from __future__ import annotations
 

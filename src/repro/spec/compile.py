@@ -507,12 +507,7 @@ class CompiledSpec:
         self, seed: int = DEFAULT_SEED, *, shadows: bool = True
     ) -> RecordStore:
         """Generate the spec's store (deterministic in ``seed``)."""
-        from repro.workloads.generator import generate_with_shadows
-
-        generator = self.generator()
-        if shadows:
-            return generate_with_shadows(generator, seed)
-        return generator.generate(seed)
+        return self.generator().generate(seed, shadows=shadows)
 
 
 def _scale_intensity(spec: ArchetypeSpec, intensity: float) -> ArchetypeSpec:

@@ -190,11 +190,16 @@ class WorkloadGenerator:
         self._ext_code = {e: i for i, e in enumerate(self.extensions)}
 
     # ------------------------------------------------------------------
-    def generate(self, seed_or_hub: int | RngHub) -> RecordStore:
+    def generate(
+        self, seed_or_hub: int | RngHub, *, shadows: bool = False
+    ) -> RecordStore:
         """Generate the synthetic year. Deterministic in the seed.
 
         File-row randomness is keyed per (archetype, group, log-block)
-        unit (:data:`LOGS_PER_BLOCK`; DESIGN.md §8, §15).
+        unit (:data:`LOGS_PER_BLOCK`; DESIGN.md §8, §15). ``shadows``
+        appends a POSIX shadow row for every MPI-IO file row (§3.1
+        accounting), in the MPI-IO rows' order, after all other rows:
+        the representation every analysis and the study pipeline expect.
         """
         hub = seed_or_hub if isinstance(seed_or_hub, RngHub) else RngHub(seed_or_hub)
         hub = hub.child(f"workload.{self.platform}")
@@ -204,7 +209,7 @@ class WorkloadGenerator:
             units = self._plan_units(batches)
             if sp is not None:
                 sp.add(platform=self.platform, units=len(units))
-            return self._assemble(hub, batches, units)
+            return self._assemble(hub, batches, units, shadows)
 
     def _plan_units(self, batches: list[_JobBatch | None]) -> list[_FileUnit]:
         """The deterministic unit list: every (archetype, group, block)."""
@@ -221,41 +226,66 @@ class WorkloadGenerator:
                     units.append(_FileUnit(ai, gi, b, lo, hi))
         return units
 
-    def _generate_unit(
-        self,
-        unit: _FileUnit,
-        batches: list[_JobBatch | None],
-        hub: RngHub,
-    ) -> np.ndarray | None:
-        spec = self.mix[unit.archetype]
-        batch = batches[unit.archetype]
-        group = spec.groups[unit.group]
-        rng = hub.generator(
-            f"files.{spec.name}.{group.name}.{unit.group}.b{unit.block}"
-        )
-        return self._generate_block(
-            spec, group, batch, rng, unit.log_lo, unit.log_hi
-        )
-
     def _assemble(
         self,
         hub: RngHub,
         batches: list[_JobBatch | None],
         units: list[_FileUnit],
+        shadows: bool,
     ) -> RecordStore:
-        """The store: every unit's file rows plus the job table."""
+        """The store: every unit's file rows plus the job table.
+
+        Two phases over one allocation. Each unit first opens its
+        substream and draws its per-log file counts, so every row's
+        position is known before any row exists; then each unit fills
+        its slice of the table in place, drawing from the same
+        substream in the same order as before. MPI-IO shadows are copies
+        of those slices into the tail.
+        """
         with trace_span("workloads.assemble", "workloads") as sp:
-            file_tables = []
+            plans = []
+            pos = 0
             for unit in units:
-                table = self._generate_unit(unit, batches, hub)
-                if table is not None and len(table):
-                    file_tables.append(table)
-            files = np.concatenate(file_tables) if file_tables else empty_files(0)
+                spec = self.mix[unit.archetype]
+                group = spec.groups[unit.group]
+                batch = batches[unit.archetype]
+                rng = hub.generator(
+                    f"files.{spec.name}.{group.name}.{unit.group}.b{unit.block}"
+                )
+                logs = batch.log_job_index[unit.log_lo:unit.log_hi]
+                counts = rng.poisson(group.files_per_run, size=len(logs))
+                # Jobs flagged no-I/O keep their logs (Darshan still runs)
+                # but produce no layer-attributed file records (Table 5's
+                # gap between the exclusivity partition and the job count).
+                counts[batch.no_io[logs]] = 0
+                total = int(counts.sum())
+                if total:
+                    sl = slice(pos, pos + total)
+                    plans.append((unit, group, batch, rng, counts, sl))
+                    pos += total
+            rows = pos
+            mpiio = [
+                sl for _, group, _, _, _, sl in plans
+                if group.interface == IOInterface.MPIIO
+            ] if shadows else []
+            files = empty_files(rows + sum(sl.stop - sl.start for sl in mpiio))
+            insystem_jobs = [np.empty(0, dtype=np.int64)]
+            for unit, group, batch, rng, counts, sl in plans:
+                self._generate_block(group, batch, rng, unit.log_lo, counts, files[sl])
+                if group.layer == "insystem":
+                    logs = batch.log_job_index[unit.log_lo:unit.log_hi]
+                    insystem_jobs.append(batch.job_ids[logs[counts > 0]])
             if sp is not None:
-                sp.add(units=len(units), rows=len(files))
-        insystem = files["job_id"][files["layer"] == LAYER_CODES["insystem"]]
-        used_bb = {int(j): True for j in np.unique(insystem)}
-        jobs = self._job_table(batches, used_bb)
+                sp.add(units=len(units), rows=rows)
+        with trace_span("workloads.shadows", "workloads") as sp:
+            if sp is not None:
+                sp.add(shadow_rows=len(files) - rows)
+            for sl in mpiio:
+                tail = files[pos:pos + sl.stop - sl.start]
+                tail[...] = files[sl]
+                tail["interface"] = int(IOInterface.POSIX)
+                pos += len(tail)
+        jobs = self._job_table(batches, np.concatenate(insystem_jobs))
         target = self.config.target_jobs or TARGET_JOBS[self.platform]
         return RecordStore(
             self.platform,
@@ -416,30 +446,23 @@ class WorkloadGenerator:
     # ------------------------------------------------------------------
     def _generate_block(
         self,
-        spec: ArchetypeSpec,
         group: FileGroupSpec,
         batch: _JobBatch,
         rng: np.random.Generator,
         log_lo: int,
-        log_hi: int,
-    ) -> np.ndarray | None:
-        """File rows of one (archetype, group) log block, vectorized."""
-        nlogs = log_hi - log_lo
-        if nlogs <= 0:
-            return None
-        counts = rng.poisson(group.files_per_run, size=nlogs)
-        # Jobs flagged no-I/O keep their logs (Darshan still runs) but
-        # produce no layer-attributed file records (Table 5's gap between
-        # the exclusivity partition and the total job count).
-        counts[batch.no_io[batch.log_job_index[log_lo:log_hi]]] = 0
-        total = int(counts.sum())
-        if total == 0:
-            return None
+        counts: np.ndarray,
+        files: np.ndarray,
+    ) -> None:
+        """Fill ``files``, one (archetype, group) log block's rows, in place.
 
-        log_index = log_lo + np.repeat(np.arange(nlogs, dtype=np.int64), counts)
+        ``counts`` holds the block's per-log file counts, already drawn
+        from ``rng``; ``files`` is the block's zero-initialized slice of
+        the table (``len(files) == counts.sum()``).
+        """
+        total = len(files)
+        log_index = log_lo + np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         job_index = batch.log_job_index[log_index]
 
-        files = empty_files(total)
         files["job_id"] = batch.job_ids[job_index]
         files["log_id"] = batch.log_ids[log_index]
         files["user_id"] = batch.user_ids[job_index]
@@ -506,7 +529,6 @@ class WorkloadGenerator:
 
         # Transfer times from the performance model.
         self._assign_times(files, group, batch, job_index, shared, rng)
-        return files
 
     # ------------------------------------------------------------------
     def _assign_times(
@@ -590,7 +612,7 @@ class WorkloadGenerator:
 
     # ------------------------------------------------------------------
     def _job_table(
-        self, batches: list[_JobBatch | None], used_bb: dict[int, bool]
+        self, batches: list[_JobBatch | None], insystem_jobs: np.ndarray
     ) -> np.ndarray:
         njobs = sum(len(b.job_ids) for b in batches if b is not None)
         jobs = empty_jobs(njobs)
@@ -608,37 +630,7 @@ class WorkloadGenerator:
             jobs["runtime"][sl] = batch.runtime
             jobs["start_time"][sl] = batch.start
             jobs["nlogs"][sl] = batch.instances.astype(np.int32)
-            jobs["used_bb"][sl] = [
-                1 if used_bb.get(int(j), False) else 0 for j in batch.job_ids
-            ]
+            jobs["used_bb"][sl] = np.isin(batch.job_ids, insystem_jobs)
             pos += n
         return jobs[np.argsort(jobs["job_id"], kind="stable")]
 
-
-def generate_with_shadows(
-    generator: WorkloadGenerator, seed_or_hub: int | RngHub
-) -> RecordStore:
-    """Generate a store and append the POSIX shadow rows for MPI-IO files.
-
-    Kept separate from :meth:`WorkloadGenerator.generate` so analyses can
-    be tested against both representations; the study pipeline always uses
-    this function.
-    """
-    store = generator.generate(seed_or_hub)
-    with trace_span("workloads.shadows", "workloads") as sp:
-        mpiio = store.files[store.files["interface"] == int(IOInterface.MPIIO)]
-        if sp is not None:
-            sp.add(shadow_rows=len(mpiio))
-        if not len(mpiio):
-            return store
-        shadows = mpiio.copy()
-        shadows["interface"] = int(IOInterface.POSIX)
-        files = np.concatenate([store.files, shadows])
-    return RecordStore(
-        store.platform,
-        files,
-        store.jobs,
-        domains=store.domains,
-        extensions=store.extensions,
-        scale=store.scale,
-    )

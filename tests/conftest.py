@@ -12,11 +12,7 @@ import pytest
 from repro.core import CharacterizationStudy, StudyConfig
 from repro.platforms import cori, summit
 from repro.store.recordstore import RecordStore
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 #: Seed used across the suite; tests that need a different stream derive
 #: their own generators.
@@ -56,13 +52,13 @@ def cori_machine():
 @pytest.fixture(scope="session")
 def summit_store_small():
     gen = WorkloadGenerator("summit", GeneratorConfig(scale=SMALL_SCALE))
-    return generate_with_shadows(gen, SEED)
+    return gen.generate(SEED, shadows=True)
 
 
 @pytest.fixture(scope="session")
 def cori_store_small():
     gen = WorkloadGenerator("cori", GeneratorConfig(scale=SMALL_SCALE))
-    return generate_with_shadows(gen, SEED)
+    return gen.generate(SEED, shadows=True)
 
 
 @pytest.fixture(scope="session")

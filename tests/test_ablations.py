@@ -21,18 +21,14 @@ from dataclasses import replace
 from repro.analysis import layer_volumes, performance_by_bin, transfer_cdfs
 from repro.analysis.performance import panel
 from repro.iosim.perfmodel import DEFAULT_CAPS, PerfModel
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 from tests.conftest import SEED, SMALL_SCALE
 
 
 def _summit(scale=SMALL_SCALE, perf=None):
     gen = WorkloadGenerator("summit", GeneratorConfig(scale=scale), perf=perf)
-    return generate_with_shadows(gen, SEED)
+    return gen.generate(SEED, shadows=True)
 
 
 def _gap(store, layer):

@@ -192,12 +192,11 @@ class TestRunQuery:
         from repro.workloads.generator import (
             GeneratorConfig,
             WorkloadGenerator,
-            generate_with_shadows,
         )
 
         via_api = repro.generate_store("summit", scale=1e-4, seed=3)
         gen = WorkloadGenerator("summit", GeneratorConfig(scale=1e-4))
-        direct = generate_with_shadows(gen, 3)
+        direct = gen.generate(3, shadows=True)
         assert np.array_equal(via_api.files, direct.files)
         assert np.array_equal(via_api.jobs, direct.jobs)
 

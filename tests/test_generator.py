@@ -1,5 +1,7 @@
 """Tests for the workload generator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
 from repro.workloads.generator import (
     GeneratorConfig,
     WorkloadGenerator,
-    generate_with_shadows,
     _consistent_histograms,
 )
 from repro.workloads.distributions import BinProfile
@@ -140,6 +141,25 @@ class TestScaling:
             GeneratorConfig(scale=0)
         with pytest.raises(ConfigurationError):
             GeneratorConfig(scale=2.0)
+
+
+class TestSingleAllocation:
+    @pytest.mark.parametrize("platform", ["summit", "cori"])
+    def test_peak_memory_near_output_size(self, platform):
+        """The file table is allocated once and filled in place.
+
+        A whole-table copy (concatenating per-block tables, or appending
+        the MPI-IO shadows by concatenation) roughly doubles the traced
+        peak; in-place filling stays within per-block temporaries.
+        """
+        gen = WorkloadGenerator(platform, GeneratorConfig(scale=2e-4))
+        tracemalloc.start()
+        try:
+            store = gen.generate(7, shadows=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.3 * (store.files.nbytes + store.jobs.nbytes)
 
 
 class TestNoIoJobs:

@@ -5,8 +5,9 @@ import pytest
 
 from repro.darshan import read_log_bytes, validate_log, write_log_bytes
 from repro.darshan.accumulate import OP_READ, OP_WRITE
+from repro.darshan.bins import ACCESS_SIZE_BINS
 from repro.darshan.constants import ModuleId
-from repro.instrument.opstream import synthesize_ops
+from repro.instrument.opstream import _sizes_for_histogram, synthesize_ops
 from repro.instrument.runtime import LogMaterializer
 from repro.platforms import cori, summit
 from repro.store.ingest import ingest_logs
@@ -80,6 +81,87 @@ class TestSynthesizeOps:
         assert reads["duration"].sum() == pytest.approx(2.0)
         meta = ops[(ops["kind"] != OP_READ) & (ops["kind"] != OP_WRITE)]
         assert meta["duration"].sum() == pytest.approx(0.5)
+
+
+def _reference_sizes(hist: np.ndarray, total_bytes: int) -> np.ndarray:
+    """The per-op loop ``_sizes_for_histogram`` must agree with."""
+    hist = np.asarray(hist, dtype=np.int64)
+    nops = int(hist.sum())
+    edges = ACCESS_SIZE_BINS.edges
+    sizes = np.empty(nops, dtype=np.int64)
+    upper = np.empty(nops, dtype=np.float64)
+    pos = 0
+    for b in range(ACCESS_SIZE_BINS.nbins):
+        n = int(hist[b])
+        if n == 0:
+            continue
+        hi = edges[b + 1]
+        sizes[pos : pos + n] = int(edges[b]) if edges[b] > 0 else 1
+        upper[pos : pos + n] = hi - 1 if np.isfinite(hi) else np.inf
+        pos += n
+    remainder = total_bytes - int(sizes.sum())
+    assert remainder >= 0
+    for i in range(nops - 1, -1, -1):
+        if remainder == 0:
+            break
+        room = upper[i] - sizes[i]
+        add = int(min(room, remainder)) if np.isfinite(room) else remainder
+        sizes[i] += add
+        remainder -= add
+    if remainder:
+        sizes[-1] += remainder
+    return sizes
+
+
+def _floor_and_room(hist: np.ndarray) -> tuple[int, int]:
+    """Byte floor of ``hist`` and the headroom of its finite bins."""
+    edges = np.asarray(ACCESS_SIZE_BINS.edges)
+    lo = np.maximum(edges[:-1], 1)
+    hi = np.where(np.isfinite(edges[1:]), edges[1:] - 1, lo)
+    return int(hist @ lo), int(hist @ (hi - lo))
+
+
+class TestSizesForHistogram:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_loop_on_random_histograms(self, seed):
+        rng = np.random.default_rng(seed)
+        hist = np.zeros(ACCESS_SIZE_BINS.nbins, dtype=np.int64)
+        nbins = rng.integers(1, 4)
+        hist[rng.choice(len(hist), size=nbins, replace=False)] = rng.integers(
+            1, 300, size=nbins
+        )
+        floor, room = _floor_and_room(hist)
+        for total in (floor, floor + int(rng.integers(0, room + 1)),
+                      floor + room, floor + room + int(rng.integers(1, 10**6))):
+            got = _sizes_for_histogram(hist, total)
+            np.testing.assert_array_equal(got, _reference_sizes(hist, total))
+            assert int(got.sum()) == total
+
+    def test_infinite_bin_takes_the_rest(self):
+        hist = np.zeros(ACCESS_SIZE_BINS.nbins, dtype=np.int64)
+        hist[2] = 3
+        hist[-1] = 2
+        total = 3 * 1000 + 2 * 10**9 + 7 * 10**9
+        got = _sizes_for_histogram(hist, total)
+        np.testing.assert_array_equal(got, _reference_sizes(hist, total))
+        assert got[-1] == 8 * 10**9 and (got[:-1] == [1000] * 3 + [10**9]).all()
+
+    def test_ceiling_dump_on_largest_op(self):
+        hist = np.zeros(ACCESS_SIZE_BINS.nbins, dtype=np.int64)
+        hist[1] = 2  # [100, 1000): ceiling 999
+        total = 2 * 999 + 50
+        got = _sizes_for_histogram(hist, total)
+        np.testing.assert_array_equal(got, _reference_sizes(hist, total))
+        np.testing.assert_array_equal(got, [999, 1049])
+
+    def test_zero_remainder_keeps_lower_edges(self):
+        hist = np.zeros(ACCESS_SIZE_BINS.nbins, dtype=np.int64)
+        hist[0] = 2
+        hist[3] = 1
+        total = 1 + 1 + 10_000
+        got = _sizes_for_histogram(hist, total)
+        np.testing.assert_array_equal(got, _reference_sizes(hist, total))
+        np.testing.assert_array_equal(got, [1, 1, 10_000])
 
 
 class TestMaterializer:

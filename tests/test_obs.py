@@ -345,11 +345,10 @@ class TestPipelineSpans:
         from repro.workloads.generator import (
             GeneratorConfig,
             WorkloadGenerator,
-            generate_with_shadows,
         )
 
         gen = WorkloadGenerator("cori", GeneratorConfig(scale=5e-5))
-        store = generate_with_shadows(gen, 7)
+        store = gen.generate(7, shadows=True)
         mat = LogMaterializer(cori_machine, store)
         paths = []
         for i, log in enumerate(mat.materialize_many(4)):

@@ -19,11 +19,7 @@ from repro.darshan.format import write_log
 from repro.instrument import LogMaterializer
 from repro.store.ingest import ingest_log_paths, ingest_logs
 from repro.store.merge import canonicalize
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 from tests.conftest import SEED
 
 pytestmark = pytest.mark.parallel
@@ -46,7 +42,7 @@ class TestIngestDifferential:
     @pytest.fixture(scope="class")
     def log_paths(self, tmp_path_factory, cori_machine):
         gen = WorkloadGenerator("cori", GeneratorConfig(scale=5e-5))
-        store = generate_with_shadows(gen, SEED)
+        store = gen.generate(SEED, shadows=True)
         mat = LogMaterializer(cori_machine, store)
         d = tmp_path_factory.mktemp("logs")
         paths = []

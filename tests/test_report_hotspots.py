@@ -353,18 +353,14 @@ class TestAgainstLoopReference:
 
 
 def _write_golden() -> None:  # pragma: no cover - maintenance entry point
-    from repro.workloads.generator import (
-        GeneratorConfig,
-        WorkloadGenerator,
-        generate_with_shadows,
-    )
+    from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
     from tests.conftest import SEED, SMALL_SCALE
 
     golden = {}
     for fixture in STORES:
         platform = fixture.split("_")[0]
         gen = WorkloadGenerator(platform, GeneratorConfig(scale=SMALL_SCALE))
-        golden[fixture] = pin_store(generate_with_shadows(gen, SEED))
+        golden[fixture] = pin_store(gen.generate(SEED, shadows=True))
     GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
 
 

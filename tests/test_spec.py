@@ -28,11 +28,7 @@ from repro.spec import (
     pattern_catalog,
     validate_spec,
 )
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 from repro.workloads.mixes import summit_mix
 from tests.conftest import SEED, SMALL_SCALE
 from tests.test_parallel_equivalence import assert_stores_identical
@@ -410,7 +406,7 @@ class TestPaperMixDifferential:
 
     def test_byte_identical_at_jobs_1(self):
         gen = WorkloadGenerator("summit", GeneratorConfig(scale=SMALL_SCALE))
-        direct = generate_with_shadows(gen, SEED)
+        direct = gen.generate(SEED, shadows=True)
         via_spec = generate_from_spec(
             "paper_mix", platform="summit", scale=SMALL_SCALE, seed=SEED
         )
@@ -418,7 +414,7 @@ class TestPaperMixDifferential:
 
     def test_byte_identical_cori(self):
         gen = WorkloadGenerator("cori", GeneratorConfig(scale=SMALL_SCALE))
-        direct = generate_with_shadows(gen, SEED)
+        direct = gen.generate(SEED, shadows=True)
         via_spec = generate_from_spec(
             "paper_mix", platform="cori", scale=SMALL_SCALE, seed=SEED
         )

@@ -18,11 +18,7 @@ from repro.analysis import (
     request_cdfs,
     transfer_cdfs,
 )
-from repro.workloads.generator import (
-    GeneratorConfig,
-    WorkloadGenerator,
-    generate_with_shadows,
-)
+from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 pytestmark = pytest.mark.stress
 
@@ -38,7 +34,7 @@ def _run_four_analyses(store):
 def test_generate_and_analyze_at_4x_scale(platform):
     t0 = time.time()
     gen = WorkloadGenerator(platform, GeneratorConfig(scale=4e-3))
-    store = generate_with_shadows(gen, 99)
+    store = gen.generate(99, shadows=True)
     gen_seconds = time.time() - t0
     assert len(store.files) > 3_000_000
 
