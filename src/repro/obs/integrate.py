@@ -25,7 +25,9 @@ category        spans
                 plus ``serve.cache_hit`` / ``serve.coalesced`` /
                 ``serve.shed`` / ``serve.timeout`` instant events
 ``stream``      ``stream.poll``, ``stream.apply``, ``stream.follow``
-``whatif``      ``whatif.sweep``, ``whatif.shard``, ``whatif.point``
+``whatif``      ``whatif.sweep``, ``whatif.shard``, ``whatif.point``,
+                ``whatif.baseline`` (nested in the first point or sweep
+                on a store generation; later points reuse it)
 ``federation``  ``federation.query``, ``federation.member``,
                 ``federation.remote``, ``federation.merge``,
                 ``federation.compare``, ``catalog.verify``

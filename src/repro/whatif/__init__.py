@@ -10,8 +10,8 @@ package answers those as first-class queries over a stored population:
   catalog, each resolving to a picklable :class:`ScenarioPlan`;
 * :mod:`repro.whatif.transfers` — reconstructing per-file transfer
   specs from stored columns (mirroring the generator's layout rules);
-* :mod:`repro.whatif.engine` — ratio-based counterfactual re-timing,
-  delta reports, and pool-fanned sweeps.
+* :mod:`repro.whatif.engine` — ratio-based counterfactual re-timing by
+  column, delta reports against a memoized baseline, and sweeps.
 
 Every scenario is also registered in the serve registry as
 ``whatif_<name>`` (kind ``table``), so ``repro analyze``, ``repro
@@ -24,8 +24,7 @@ from repro.whatif.engine import (
     WhatIfReport,
     compute_point,
     materialize,
-    point_metrics,
-    replay_files,
+    retime_columns,
     sweep,
 )
 from repro.whatif.scenarios import (
@@ -45,8 +44,7 @@ __all__ = [
     "compute_point",
     "get_scenario",
     "materialize",
-    "point_metrics",
-    "replay_files",
+    "retime_columns",
     "scenario_catalog",
     "sweep",
 ]

@@ -25,13 +25,29 @@ to 1.0 bit-for-bit — which is what makes the identity scenario's output
 bit-identical to the baseline (the differential suite's gate) and lets
 every scenario share one code path with no special cases.
 
-Sweeps fan points across the process pool
-(:func:`repro.parallel.run_sharded`): the file table travels to workers
-without crossing the pool pipe (an ``mmap`` of the store's raw layout,
-or one shared-memory :class:`~repro.fabric.Arena` copy), each sweep
-point is computed wholly inside one worker, and only the small
-:class:`WhatIfReport` comes back. Point independence plus the
-deterministic math make results worker-count-invariant byte for byte.
+A point reads the store as contiguous columns through its
+:class:`~repro.analysis.context.AnalysisContext`, never as 262-byte
+rows: :func:`retime_columns` gathers each (layer, interface) group's
+fields from the cached columns and returns only the four columns a
+scenario changes (``read_time``, ``write_time``, ``meta_time``,
+``layer``). Only :func:`materialize` assembles a whole file table.
+
+The baseline half of every report — each (layer, direction)'s file
+count, seconds and median bandwidth, plus the facility replay's demand
+series — depends on the store alone, so it is computed once per store
+generation and memoized in the context (an append drops it). The
+machine enters only as the layer peaks each point divides the series
+by. A plan that relocates no rows leaves bytes, layers and job windows
+alone, so its outcome reuses the baseline's demand series as well.
+
+``compute_point``, a serial :func:`sweep` and the pool worker share one
+point function. A pooled sweep hands each worker the file table without
+crossing the pool pipe (an ``mmap`` of the store's raw layout, or one
+shared-memory :class:`~repro.fabric.Arena` copy) together with the
+parent's memoized baseline; each point is computed wholly inside one
+worker and only the small :class:`WhatIfReport` comes back. Point
+independence plus the deterministic math make results
+worker-count-invariant byte for byte.
 """
 
 from __future__ import annotations
@@ -45,17 +61,25 @@ import numpy as np
 from repro import fabric
 from repro.errors import WhatIfError
 from repro.iosim.contention import ContentionModel
-from repro.iosim.replay import FacilityReplay
+from repro.iosim.replay import demand_series, layer_demand
 from repro.obs.tracer import trace_span
 from repro.platforms.interfaces import IOInterface
 from repro.platforms.machine import Machine
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_NAMES, LAYER_PFS
 from repro.whatif.scenarios import ScenarioPlan, get_scenario
-from repro.whatif.transfers import build_spec, layout_parallelism, nnodes_by_row
+from repro.whatif.transfers import (
+    SPEC_FIELDS,
+    build_spec,
+    layout_parallelism,
+    nnodes_by_row,
+)
 
 #: Unused under deterministic models; sample_bandwidth's signature wants one.
 _NULL_RNG = np.random.default_rng(0)
+
+#: Rows re-timed per block: bounds the transfer-spec temporaries.
+_CHUNK = 16384
 
 
 @lru_cache(maxsize=64)
@@ -78,84 +102,101 @@ def _contention_ratio(plan: ScenarioPlan, base_kind: str, scn_kind: str) -> floa
     return _mean_fraction(base) / _mean_fraction(scn)
 
 
-# -- replay ------------------------------------------------------------------
-def replay_files(
-    files: np.ndarray,
-    jobs: np.ndarray,
-    plan: ScenarioPlan,
-    platform: str,
-) -> tuple[np.ndarray, int]:
-    """A scenario's file table: stored rows re-timed under the plan.
+# -- re-timing --------------------------------------------------------------
+#: The columns a scenario can change; every other field is the stored row's.
+RETIMED = ("read_time", "write_time", "meta_time", "layer")
 
-    Returns ``(new_files, moved)`` where ``moved`` counts rows the plan
-    relocated to the in-system layer. The input table is never mutated.
+
+def retime_columns(
+    store: RecordStore, plan: ScenarioPlan
+) -> tuple[dict[str, np.ndarray], int]:
+    """A scenario's re-timed columns over a store's rows.
+
+    Returns ``(columns, moved)``: new arrays for each :data:`RETIMED`
+    field, in row order and owned by the caller, and the number of rows
+    the plan relocated to the in-system layer. The store is never
+    mutated; its other fields are unchanged by every scenario.
     """
-    out = files.copy()
-    n = len(files)
-    if n == 0:
+    ctx = store.analysis()
+    col = ctx.column
+    layer = col("layer")
+    out = {name: col(name).copy() for name in RETIMED}
+    if not len(layer):
         return out, 0
-    nnodes = nnodes_by_row(files, jobs)
-    sizes = (files["bytes_read"] + files["bytes_written"]).astype(np.float64)
-    orig_layer = files["layer"]
-    new_layer = orig_layer.copy()
     moved = 0
     if plan.relocate_min_bytes is not None:
         move = (
-            (orig_layer == LAYER_PFS)
-            & (files["bytes_read"] == 0)
-            & (files["bytes_written"] >= plan.relocate_min_bytes)
+            (layer == LAYER_PFS)
+            & (col("bytes_read") == 0)
+            & (col("bytes_written") >= plan.relocate_min_bytes)
         )
         moved = int(move.sum())
-        new_layer[move] = LAYER_INSYSTEM
-        out["layer"] = new_layer
+        out["layer"][move] = LAYER_INSYSTEM
 
+    nnodes = ctx.cached(
+        ("whatif.nnodes",), lambda: nnodes_by_row(col("job_id"), store.jobs)
+    )
+    sizes = ctx.transfer_sizes()
+    interfaces = col("interface")
+    fields = {name: col(name) for name in SPEC_FIELDS}
     # Rows group by (origin layer, destination layer): origin drives the
-    # baseline mechanism value, destination the scenario's.
-    pair = orig_layer.astype(np.int32) * 256 + new_layer
-    for pk in np.unique(pair):
-        oc, nc = int(pk) // 256, int(pk) % 256
-        if oc not in (LAYER_PFS, LAYER_INSYSTEM):
-            continue  # unmounted/"other" rows carry no layer model
-        base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
-        scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
-        gmask = pair == pk
-        base_par = layout_parallelism(
-            platform, oc, plan.base_machine, sizes[gmask], nnodes[gmask]
-        )
-        scn_par = layout_parallelism(
-            platform, nc, plan.machine, sizes[gmask], nnodes[gmask],
-            factor=plan.parallelism_factor(LAYER_NAMES[nc]),
-        )
-        cratio = _contention_ratio(
-            plan, base_layer.kind.value, scn_layer.kind.value
-        )
-        gidx = np.flatnonzero(gmask)
-        for iface_code in np.unique(files["interface"][gmask]):
-            interface = IOInterface(int(iface_code))
-            local = files["interface"][gidx] == iface_code
-            idx = gidx[local]
-            rows = files[idx]
+    # baseline mechanism value, destination the scenario's. Rows on the
+    # "other" layer carry no layer model and keep their times.
+    for oc in (LAYER_PFS, LAYER_INSYSTEM):
+        oidx = ctx.idx(("layer", oc))
+        dest = out["layer"][oidx] if moved else None
+        for nc in (LAYER_PFS, LAYER_INSYSTEM):
+            if dest is None:
+                if nc != oc:
+                    continue
+                gidx = oidx
+            else:
+                gidx = oidx[dest == nc]
+            if len(gidx):
+                _retime_group(plan, store.platform, oc, nc, gidx, out,
+                              col, fields, interfaces, sizes, nnodes)
+    return out, moved
+
+
+def _retime_group(plan, platform, oc, nc, gidx, out, col, fields,
+                  interfaces, sizes, nnodes) -> None:
+    """Re-time the rows ``gidx`` moving from layer ``oc`` to ``nc``."""
+    base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
+    scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
+    cratio = _contention_ratio(plan, base_layer.kind.value, scn_layer.kind.value)
+    factor = plan.parallelism_factor(LAYER_NAMES[nc])
+    meta_ratio = scn_layer.base_latency / base_layer.base_latency
+    gi = interfaces[gidx]
+    for code in np.flatnonzero(np.bincount(gi)):
+        interface = IOInterface(int(code))
+        iidx = gidx[gi == code]
+        # Every step below is elementwise, so a fixed-size block of rows
+        # at a time gives the same values with bounded temporaries.
+        for lo in range(0, len(iidx), _CHUNK):
+            idx = iidx[lo:lo + _CHUNK]
+            rows = {name: values[idx] for name, values in fields.items()}
             rn = nnodes[idx]
+            gsizes = sizes[idx].astype(np.float64)
+            base_par = layout_parallelism(platform, oc, plan.base_machine,
+                                          gsizes, rn)
+            scn_par = layout_parallelism(platform, nc, plan.machine, gsizes,
+                                         rn, factor=factor)
             for direction, time_col in (
                 ("read", "read_time"), ("write", "write_time")
             ):
-                spec = build_spec(rows, rn, base_par[local], direction)
+                spec = build_spec(rows, rn, base_par, direction)
                 bw_base = plan.base_perf.sample_bandwidth(
                     base_layer, interface, direction, spec, _NULL_RNG
                 )
                 bw_scn = plan.perf.sample_bandwidth(
                     scn_layer, interface, direction,
-                    replace(spec, file_parallelism=scn_par[local]),
-                    _NULL_RNG,
+                    replace(spec, file_parallelism=scn_par), _NULL_RNG,
                 )
                 out[time_col][idx] = (
-                    files[time_col][idx] * (bw_base / bw_scn) * cratio
+                    col(time_col)[idx] * (bw_base / bw_scn) * cratio
                 )
-        # Metadata follows the destination layer's latency floor.
-        out["meta_time"][gidx] = files["meta_time"][gidx] * (
-            scn_layer.base_latency / base_layer.base_latency
-        )
-    return out, moved
+            # Metadata follows the destination layer's latency floor.
+            out["meta_time"][idx] = col("meta_time")[idx] * meta_ratio
 
 
 # -- metrics -----------------------------------------------------------------
@@ -175,62 +216,94 @@ class PointMetrics:
     peak_util: float
 
 
-class _StoreView:
-    """The minimal store shape FacilityReplay needs, without a copy."""
+_METRIC_AXES = tuple(
+    (layer_key, code, direction, bytes_col, time_col)
+    for layer_key, code in (("pfs", LAYER_PFS), ("insystem", LAYER_INSYSTEM))
+    for direction, bytes_col, time_col in (
+        ("read", "bytes_read", "read_time"),
+        ("write", "bytes_written", "write_time"),
+    )
+)
 
-    def __init__(self, files, jobs, scale, platform):
-        self.files = files
-        self.jobs = jobs
-        self.scale = scale
-        self.platform = platform
+
+def _tallies(store: RecordStore, times, layer=None) -> tuple:
+    """(files, seconds, median bandwidth) per :data:`_METRIC_AXES` entry.
+
+    ``times`` maps ``read_time``/``write_time`` to per-row arrays;
+    ``layer`` replaces the store's layer column (a relocation), else the
+    context's cached selections are used.
+    """
+    ctx = store.analysis()
+    out = []
+    for _, code, _, bytes_col, time_col in _METRIC_AXES:
+        if layer is None:
+            sel = ctx.idx("unique", ("layer", code), ("pos", bytes_col))
+        else:
+            sel = np.flatnonzero(
+                ctx.mask("unique") & (layer == code)
+                & ctx.mask(("pos", bytes_col))
+            )
+        t = times[time_col][sel]
+        median = 0.0
+        if len(sel):
+            b = ctx.column(bytes_col)[sel].astype(np.float64)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                bw = np.where(t > 0, b / t, np.nan)
+            if np.isfinite(bw).any():
+                median = float(np.nanmedian(bw))
+        out.append((len(sel), float(t.sum()), median))
+    return tuple(out)
 
 
-def point_metrics(
-    files: np.ndarray,
-    jobs: np.ndarray,
-    machine: Machine,
-    scale: float,
-    platform: str,
-) -> tuple[PointMetrics, ...]:
-    """Per-(layer, direction) metrics of one file table on one machine.
+def _series(store: RecordStore, layer=None):
+    """The facility replay's demand series, or None without rows or jobs."""
+    if not (len(store.files) and len(store.jobs)):
+        return None
+    return demand_series(store, layer)
 
-    Utilization comes from a :class:`FacilityReplay` against ``machine``
-    — a degraded machine's shrunken peaks raise utilization even where
+
+def _metrics(tallies, series, machine: Machine) -> tuple[PointMetrics, ...]:
+    """Tallies plus each layer's peak utilization on ``machine``.
+
+    Utilization is the replay's series over ``machine``'s layer peak —
+    a degraded machine's shrunken peaks raise utilization even where
     demand is unchanged, which is the fault scenarios' operator view.
     """
-    unique = files["interface"] != int(IOInterface.MPIIO)
-    replay = (
-        FacilityReplay(_StoreView(files, jobs, scale, platform), machine)
-        if len(files) and len(jobs)
-        else None
-    )
     out = []
-    for layer_key, code in (("pfs", LAYER_PFS), ("insystem", LAYER_INSYSTEM)):
-        lmask = unique & (files["layer"] == code)
-        for direction, bytes_col, time_col in (
-            ("read", "bytes_read", "read_time"),
-            ("write", "bytes_written", "write_time"),
-        ):
-            sel = lmask & (files[bytes_col] > 0)
-            nfiles = int(sel.sum())
-            seconds = float(files[time_col][sel].sum())
-            if nfiles:
-                t = files[time_col][sel]
-                b = files[bytes_col][sel].astype(np.float64)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    bw = np.where(t > 0, b / t, np.nan)
-                median = float(np.nanmedian(bw)) if np.isfinite(bw).any() else 0.0
-            else:
-                median = 0.0
-            peak = (
-                replay.demand(layer_key, direction).peak_utilization()
-                if replay is not None
-                else 0.0
-            )
-            out.append(
-                PointMetrics(layer_key, direction, nfiles, seconds, median, peak)
-            )
+    for (layer_key, _, direction, _, _), tally in zip(_METRIC_AXES, tallies):
+        key = (layer_key, direction)
+        peak = (
+            layer_demand(machine, key, series[key]).peak_utilization()
+            if series is not None
+            else 0.0
+        )
+        out.append(PointMetrics(layer_key, direction, *tally, peak))
     return tuple(out)
+
+
+def _baseline(store: RecordStore) -> tuple:
+    """The store's own (tallies, demand series), memoized per generation.
+
+    Neither half depends on a machine or a plan, so every point on the
+    store shares them; an append bumps the generation and drops the
+    entry with the rest of the context's memo.
+    """
+    ctx = store.analysis()
+
+    def compute():
+        with trace_span("whatif.baseline", "whatif") as sp:
+            if sp is not None:
+                sp.add(rows=len(store.files))
+            times = {name: ctx.column(name) for name in ("read_time", "write_time")}
+            return _tallies(store, times), _series(store)
+
+    return ctx.cached(_baseline_key(store), compute)
+
+
+def _baseline_key(store: RecordStore) -> tuple:
+    # The series divide by the store's scale; everything else the
+    # baseline reads is the store's current generation.
+    return ("whatif.baseline", store.scale)
 
 
 @dataclass(frozen=True)
@@ -302,29 +375,32 @@ def compute_point(
 ) -> WhatIfReport:
     """One sweep point, computed inline against a store."""
     plan = get_scenario(scenario).plan(store.platform, params)
+    return _point(store, plan)
+
+
+def _point(store: RecordStore, plan: ScenarioPlan) -> WhatIfReport:
+    """The one point path: ``compute_point``, ``sweep`` and pool workers."""
     with trace_span("whatif.point", "whatif") as sp:
         if sp is not None:
             sp.add(scenario=plan.scenario, rows=len(store.files))
-        report, _ = _point(store.files, store.jobs, store.scale,
-                           store.platform, plan, baseline=None)
-        return report
-
-
-def _point(files, jobs, scale, platform, plan, *, baseline):
-    """(report, scenario file table) for one resolved plan."""
-    scn_files, moved = replay_files(files, jobs, plan, platform)
-    if baseline is None:
-        baseline = point_metrics(files, jobs, plan.base_machine, scale, platform)
-    outcome = point_metrics(scn_files, jobs, plan.machine, scale, platform)
-    report = WhatIfReport(
-        platform=platform,
-        scenario=plan.scenario,
-        params=plan.params,
-        baseline=baseline,
-        outcome=outcome,
-        moved_files=moved,
-    )
-    return report, scn_files
+        tallies, series = _baseline(store)
+        columns, moved = retime_columns(store, plan)
+        # A plan that moves no row leaves bytes, layers and job windows
+        # as stored: the outcome keeps the baseline's selections and
+        # demand series, and only the peaks it is divided by change.
+        layer = columns["layer"] if moved else None
+        return WhatIfReport(
+            platform=store.platform,
+            scenario=plan.scenario,
+            params=plan.params,
+            baseline=_metrics(tallies, series, plan.base_machine),
+            outcome=_metrics(
+                _tallies(store, columns, layer),
+                _series(store, layer) if moved else series,
+                plan.machine,
+            ),
+            moved_files=moved,
+        )
 
 
 def materialize(
@@ -340,10 +416,13 @@ def materialize(
     bit-identical to the input's tables.
     """
     plan = get_scenario(scenario).plan(store.platform, params)
-    scn_files, _ = replay_files(store.files, store.jobs, plan, store.platform)
+    columns, _ = retime_columns(store, plan)
+    files = store.files.copy()
+    for name, values in columns.items():
+        files[name] = values
     return RecordStore(
         store.platform,
-        scn_files,
+        files,
         store.jobs.copy(),
         domains=store.domains,
         extensions=store.extensions,
@@ -361,11 +440,11 @@ def sweep(
     """Replay a scenario at every parameter point, fanning out over the pool.
 
     Returns one :class:`WhatIfReport` per point, in point order. The
-    baseline metrics are computed once (in the parent) and shared by
-    every point. Results are byte-identical for every worker count:
-    each point is computed wholly inside one worker from the same
-    shared rows, and the math is deterministic. For a point's re-timed
-    store, call :func:`materialize`.
+    baseline is the store's memoized one, computed at most once (in the
+    parent) and shared by every point. Results are byte-identical for
+    every worker count: each point is computed wholly inside one worker
+    from the same shared rows, and the math is deterministic. For a
+    point's re-timed store, call :func:`materialize`.
     """
     from repro.parallel import resolve_jobs, run_sharded
 
@@ -379,22 +458,15 @@ def sweep(
         if sp is not None:
             sp.add(scenario=scenario, points=len(plans), jobs=njobs,
                    rows=len(store.files))
-        baseline = point_metrics(
-            store.files, store.jobs, plans[0].base_machine,
-            store.scale, store.platform,
-        )
+        baseline = _baseline(store)
         if njobs <= 1 or len(plans) <= 1:
-            return [
-                _point(store.files, store.jobs, store.scale, store.platform,
-                       plan, baseline=baseline)[0]
-                for plan in plans
-            ]
+            return [_point(store, plan) for plan in plans]
 
         backing, arena = _export_backing(store)
         try:
             payloads = [
-                (backing, store.jobs, store.platform, store.scale, plan,
-                 baseline)
+                (backing, store.jobs, store.platform, store.scale,
+                 store.domains, plan, baseline)
                 for plan in plans
             ]
             return run_sharded(_sweep_shard, payloads, jobs=njobs)
@@ -430,15 +502,13 @@ def _open_rows(backing) -> np.ndarray:
 def _sweep_shard(payload):
     """Pool worker: one sweep point, end to end. Module-level so it
     pickles under any start method."""
-    backing, jobs, platform, scale, plan, baseline = payload
+    backing, jobs, platform, scale, domains, plan, baseline = payload
     with trace_span("whatif.shard", "whatif") as sp:
         if sp is not None:
             sp.add(scenario=plan.scenario)
-        files = _open_rows(backing)
-        with trace_span("whatif.point", "whatif") as pt:
-            if pt is not None:
-                pt.add(scenario=plan.scenario, rows=len(files))
-            report, _ = _point(
-                files, jobs, scale, platform, plan, baseline=baseline
-            )
-        return report
+        store = RecordStore(platform, _open_rows(backing), jobs,
+                            domains=domains, scale=scale)
+        # Seed the worker's context with the parent's baseline, so the
+        # shared point path finds it memoized.
+        store.analysis().cached(_baseline_key(store), lambda: baseline)
+        return _point(store, plan)

@@ -21,8 +21,11 @@ and bias only the mechanisms a scenario deliberately changes.
 
 from __future__ import annotations
 
+from typing import Mapping
+
 import numpy as np
 
+from repro.iosim.replay import join_jobs
 from repro.platforms.interfaces import IOInterface
 from repro.platforms.machine import Machine
 from repro.store.schema import LAYER_INSYSTEM, LAYER_PFS
@@ -41,6 +44,12 @@ SCNL_SEGMENT = 128 * MiB
 
 #: DataWarp substripe granularity on Cori's burst buffer.
 CBB_SUBSTRIPE = 1024 * MiB
+
+#: The file-table fields :func:`build_spec` reads.
+SPEC_FIELDS = (
+    "bytes_read", "bytes_written", "reads", "writes",
+    "rank", "interface", "nprocs",
+)
 
 
 def layout_parallelism(
@@ -84,31 +93,32 @@ def layout_parallelism(
     return np.full(len(sizes), max(factor, 1.0))
 
 
-def nnodes_by_row(files: np.ndarray, jobs: np.ndarray) -> np.ndarray:
+def nnodes_by_row(job_ids: np.ndarray, jobs: np.ndarray) -> np.ndarray:
     """Each file row's job node count, joined from the job table.
 
-    Rows whose job id is absent from the table (hand-built stores)
-    default to one node.
+    ``job_ids`` is the file table's ``job_id`` column. The join is
+    :func:`~repro.iosim.replay.join_jobs`, the facility replay's, so a
+    job id listed twice takes its last row's node count. Rows whose job
+    id is absent from the table (hand-built stores) default to one node.
     """
-    out = np.ones(len(files), dtype=np.float64)
-    if not len(jobs) or not len(files):
+    out = np.ones(len(job_ids), dtype=np.float64)
+    if not len(jobs) or not len(job_ids):
         return out
-    order = np.argsort(jobs["job_id"], kind="stable")
-    ids = jobs["job_id"][order]
-    pos = np.searchsorted(ids, files["job_id"])
-    pos = np.clip(pos, 0, len(ids) - 1)
-    found = ids[pos] == files["job_id"]
-    out[found] = jobs["nnodes"][order][pos[found]].astype(np.float64)
+    pos, found = join_jobs(job_ids, jobs)
+    out[found] = jobs["nnodes"][pos[found]].astype(np.float64)
     return out
 
 
 def build_spec(
-    rows: np.ndarray,
+    rows: Mapping[str, np.ndarray],
     nnodes: np.ndarray,
     parallelism: np.ndarray,
     direction: str,
 ):
     """A :class:`TransferSpec` for one direction over selected rows.
+
+    ``rows`` maps each field the spec reads (``SPEC_FIELDS``) to its
+    values at the selected rows.
 
     The collective flag is not stored; shared MPI-IO files are treated
     as collective (the generator's MPI-IO groups are), which cancels in

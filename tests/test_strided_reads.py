@@ -6,7 +6,8 @@ every read. :meth:`AnalysisContext.column` copies each column once and
 every entry point reads it from there (DESIGN.md §6). This check keeps
 a new entry point from quietly going back to strided reads: only
 ``context.py`` (which owns the copies) and ``legacy.py`` (the frozen
-seed oracle) may touch the table.
+seed oracle) may touch the table. The facility replay and the what-if
+transfer reconstruction are held to the same rule.
 """
 
 from __future__ import annotations
@@ -23,7 +24,12 @@ GUARDED = sorted(
     path
     for path in (SRC / "analysis").glob("*.py")
     if path.name not in ("context.py", "legacy.py")
-) + [SRC / "optimize" / "staging.py", SRC / "optimize" / "aggregation.py"]
+) + [
+    SRC / "optimize" / "staging.py",
+    SRC / "optimize" / "aggregation.py",
+    SRC / "iosim" / "replay.py",
+    SRC / "whatif" / "transfers.py",
+]
 
 
 def _is_store_ref(node: ast.AST) -> bool:
