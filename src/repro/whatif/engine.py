@@ -121,8 +121,6 @@ def retime_columns(
     col = ctx.column
     layer = col("layer")
     out = {name: col(name).copy() for name in RETIMED}
-    if not len(layer):
-        return out, 0
     moved = 0
     if plan.relocate_min_bytes is not None:
         move = (
@@ -132,41 +130,34 @@ def retime_columns(
         )
         moved = int(move.sum())
         out["layer"][move] = LAYER_INSYSTEM
-
-    nnodes = ctx.cached(
-        ("whatif.nnodes",), lambda: nnodes_by_row(col("job_id"), store.jobs)
-    )
-    sizes = ctx.transfer_sizes()
-    interfaces = col("interface")
-    fields = {name: col(name) for name in SPEC_FIELDS}
     # Rows group by (origin layer, destination layer): origin drives the
     # baseline mechanism value, destination the scenario's. Rows on the
     # "other" layer carry no layer model and keep their times.
     for oc in (LAYER_PFS, LAYER_INSYSTEM):
         oidx = ctx.idx(("layer", oc))
-        dest = out["layer"][oidx] if moved else None
+        dest = out["layer"][oidx]
         for nc in (LAYER_PFS, LAYER_INSYSTEM):
-            if dest is None:
-                if nc != oc:
-                    continue
-                gidx = oidx
-            else:
-                gidx = oidx[dest == nc]
+            gidx = oidx[dest == nc]
             if len(gidx):
-                _retime_group(plan, store.platform, oc, nc, gidx, out,
-                              col, fields, interfaces, sizes, nnodes)
+                _retime_group(store, plan, oc, nc, gidx, out)
     return out, moved
 
 
-def _retime_group(plan, platform, oc, nc, gidx, out, col, fields,
-                  interfaces, sizes, nnodes) -> None:
+def _retime_group(store, plan, oc, nc, gidx, out) -> None:
     """Re-time the rows ``gidx`` moving from layer ``oc`` to ``nc``."""
+    ctx = store.analysis()
+    col = ctx.column
+    nnodes = ctx.cached(
+        ("whatif.nnodes",), lambda: nnodes_by_row(col("job_id"), store.jobs)
+    )
+    sizes = ctx.transfer_sizes()
+    fields = {name: col(name) for name in SPEC_FIELDS}
     base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
     scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
     cratio = _contention_ratio(plan, base_layer.kind.value, scn_layer.kind.value)
     factor = plan.parallelism_factor(LAYER_NAMES[nc])
     meta_ratio = scn_layer.base_latency / base_layer.base_latency
-    gi = interfaces[gidx]
+    gi = col("interface")[gidx]
     for code in np.flatnonzero(np.bincount(gi)):
         interface = IOInterface(int(code))
         iidx = gidx[gi == code]
@@ -177,10 +168,10 @@ def _retime_group(plan, platform, oc, nc, gidx, out, col, fields,
             rows = {name: values[idx] for name, values in fields.items()}
             rn = nnodes[idx]
             gsizes = sizes[idx].astype(np.float64)
-            base_par = layout_parallelism(platform, oc, plan.base_machine,
-                                          gsizes, rn)
-            scn_par = layout_parallelism(platform, nc, plan.machine, gsizes,
-                                         rn, factor=factor)
+            base_par = layout_parallelism(store.platform, oc,
+                                          plan.base_machine, gsizes, rn)
+            scn_par = layout_parallelism(store.platform, nc, plan.machine,
+                                         gsizes, rn, factor=factor)
             for direction, time_col in (
                 ("read", "read_time"), ("write", "write_time")
             ):
