@@ -63,6 +63,7 @@ class LayerDemand:
             return 0.0
         return float((self.utilization() > threshold).mean())
 
+
 def layer_demand(
     machine: Machine,
     key: tuple[str, str],

@@ -143,7 +143,14 @@ def retime_columns(
     return out, moved
 
 
-def _retime_group(store, plan, oc, nc, gidx, out) -> None:
+def _retime_group(
+    store: RecordStore,
+    plan: ScenarioPlan,
+    oc: int,
+    nc: int,
+    gidx: np.ndarray,
+    out: dict[str, np.ndarray],
+) -> None:
     """Re-time the rows ``gidx`` moving from layer ``oc`` to ``nc``."""
     ctx = store.analysis()
     col = ctx.column
@@ -428,7 +435,10 @@ def sweep(
     *,
     jobs: int | None = None,
 ) -> list[WhatIfReport]:
-    """Replay a scenario at every parameter point, fanning out over the pool.
+    """Replay a scenario at every parameter point.
+
+    ``jobs`` > 1 fans the points over the process pool; on a 2-core host
+    that is slower than the serial path (DESIGN.md §8).
 
     Returns one :class:`WhatIfReport` per point, in point order. The
     baseline is the store's memoized one, computed at most once (in the
