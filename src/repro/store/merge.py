@@ -25,6 +25,12 @@ deterministically:
 
 The merged store is a fresh object at generation 0 with its own (empty)
 analysis cache; the shard stores are never mutated.
+
+Rows move through the store's row kernel
+(:func:`~repro.store.schema.concat_rows`,
+:func:`~repro.store.schema.take_rows`): one byte copy of every member's
+rows, then the column rewrites above on the copy. A fleet merge of
+three 164k-row members costs about twice the bare copy (DESIGN.md §14).
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ import numpy as np
 from repro.errors import MergeSchemaError, StoreError
 from repro.obs.tracer import trace_span
 from repro.store.recordstore import RecordStore
+from repro.store.schema import concat_rows, take_rows
 
 #: Job columns that must be identical across duplicate job rows.
 _JOB_STATIC = ("user_id", "nnodes", "nprocs", "domain", "runtime", "start_time")
@@ -88,13 +95,12 @@ def _remap_log_ids(files: np.ndarray, jobs: np.ndarray, base: int) -> int:
 
 def _merge_job_tables(jobs_parts: list[np.ndarray]) -> np.ndarray:
     """Merge job rows across shards, deduplicating by ``job_id``."""
-    allj = np.concatenate(jobs_parts)
+    allj = concat_rows(jobs_parts)
     if not len(allj):
         return allj
-    order = np.argsort(allj["job_id"], kind="stable")
-    sj = allj[order]
+    sj = take_rows(allj, np.argsort(allj["job_id"], kind="stable"))
     _, first, counts = np.unique(sj["job_id"], return_index=True, return_counts=True)
-    merged = sj[first].copy()
+    merged = take_rows(sj, first)
     for name in _JOB_STATIC:
         if not (sj[name] == np.repeat(merged[name], counts)).all():
             raise StoreError(
@@ -156,7 +162,7 @@ def _merge_stores(
     domains, dom_luts = _union_catalog([s.domains for s in stores])
     extensions, ext_luts = _union_catalog([s.extensions for s in stores])
 
-    files = np.concatenate([s.files for s in stores])
+    files = concat_rows([s.files for s in stores])
     jobs_parts: list[np.ndarray] = []
     offsets = np.cumsum([0] + [len(s.files) for s in stores])
     log_base = 0
@@ -172,11 +178,10 @@ def _merge_stores(
         # Copy a shard's job table only when it must be rewritten; the
         # read-only case concatenates below anyway.
         jobs = s.jobs
-        if remap_job_ids:
-            jobs = jobs.copy()  # job ids are rewritten in place below
-        if len(jobs) and not _is_identity(dom_luts[i]):
-            if jobs is s.jobs:
-                jobs = jobs.copy()
+        remap_domain = len(jobs) and not _is_identity(dom_luts[i])
+        if remap_job_ids or remap_domain:
+            jobs = concat_rows([jobs])
+        if remap_domain:
             jobs["domain"] = dom_luts[i][jobs["domain"].astype(np.int32) + 1]
         if remap_job_ids:
             uniq, inverse = np.unique(jobs["job_id"], return_inverse=True)
@@ -189,7 +194,7 @@ def _merge_stores(
         jobs_parts.append(jobs)
 
     if remap_job_ids:
-        merged_jobs = np.concatenate(jobs_parts)
+        merged_jobs = concat_rows(jobs_parts)
     else:
         merged_jobs = _merge_job_tables(jobs_parts)
     return RecordStore(
@@ -218,8 +223,8 @@ def canonicalize(store: RecordStore) -> RecordStore:
     jorder = np.argsort(store.jobs["job_id"], kind="stable")
     return RecordStore(
         store.platform,
-        f[order],
-        store.jobs[jorder],
+        take_rows(f, order),
+        take_rows(store.jobs, jorder),
         domains=store.domains,
         extensions=store.extensions,
         scale=store.scale,

@@ -17,6 +17,9 @@ from repro.store.schema import (
     OPCLASS_READ_WRITE,
     OPCLASS_WRITE_ONLY,
     SCHEMA_VERSION,
+    concat_rows,
+    raw_rows,
+    take_rows,
 )
 
 #: Guards building a store's analysis context, so threads that ask a
@@ -187,9 +190,9 @@ class RecordStore:
         if buf is None or self.files.base is not buf or len(buf) < n + k:
             cap = max(1024, int((n + k) * 3 // 2))
             buf = np.empty(cap, dtype=FILE_DTYPE)
-            buf[:n] = self.files
+            raw_rows(buf)[:n] = raw_rows(self.files)
             self._files_buf = buf
-        buf[n : n + k] = tail
+        raw_rows(buf)[n : n + k] = raw_rows(tail)
         return buf[: n + k]
 
     def _merged_jobs_for_append(self, jobs: np.ndarray | None) -> np.ndarray:
@@ -258,10 +261,10 @@ class RecordStore:
                 f"mask must be bool of shape ({len(self.files)},), "
                 f"got {mask.dtype} {mask.shape}"
             )
-        files = self.files[mask]
+        files = take_rows(self.files, mask)
         keep_jobs = np.isin(self.jobs["job_id"], np.unique(files["job_id"]))
         return RecordStore(
-            self.platform, files, self.jobs[keep_jobs],
+            self.platform, files, take_rows(self.jobs, keep_jobs),
             domains=self.domains, extensions=self.extensions, scale=self.scale,
             schema_version=self.schema_version,
         )
@@ -303,10 +306,10 @@ class RecordStore:
         mask = np.asarray(mask)
         if mask.dtype != bool or mask.shape != (len(self.jobs),):
             raise StoreError("job mask shape/dtype mismatch")
-        jobs = self.jobs[mask]
+        jobs = take_rows(self.jobs, mask)
         keep = np.isin(self.files["job_id"], jobs["job_id"])
         return RecordStore(
-            self.platform, self.files[keep], jobs,
+            self.platform, take_rows(self.files, keep), jobs,
             domains=self.domains, extensions=self.extensions, scale=self.scale,
             schema_version=self.schema_version,
         )
@@ -376,8 +379,8 @@ class RecordStore:
                 raise StoreError("stores differ in platform/catalogs/scale")
         return cls(
             first.platform,
-            np.concatenate([s.files for s in stores]),
-            np.concatenate([s.jobs for s in stores]),
+            concat_rows([s.files for s in stores]),
+            concat_rows([s.jobs for s in stores]),
             domains=first.domains,
             extensions=first.extensions,
             scale=first.scale,

@@ -66,7 +66,7 @@ from repro.obs.tracer import trace_span
 from repro.platforms.interfaces import IOInterface
 from repro.platforms.machine import Machine
 from repro.store.recordstore import RecordStore
-from repro.store.schema import LAYER_INSYSTEM, LAYER_NAMES, LAYER_PFS
+from repro.store.schema import LAYER_INSYSTEM, LAYER_NAMES, LAYER_PFS, concat_rows
 from repro.whatif.scenarios import ScenarioPlan, get_scenario
 from repro.whatif.transfers import (
     SPEC_FIELDS,
@@ -415,13 +415,13 @@ def materialize(
     """
     plan = get_scenario(scenario).plan(store.platform, params)
     columns, _ = retime_columns(store, plan)
-    files = store.files.copy()
+    files = concat_rows([store.files])
     for name, values in columns.items():
         files[name] = values
     return RecordStore(
         store.platform,
         files,
-        store.jobs.copy(),
+        concat_rows([store.jobs]),
         domains=store.domains,
         extensions=store.extensions,
         scale=store.scale,

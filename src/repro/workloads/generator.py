@@ -29,7 +29,7 @@ from repro.platforms.machine import Machine
 from repro.rng import RngHub
 from repro.scheduler.trace import SECONDS_PER_YEAR, ArrivalProcess, TraceConfig
 from repro.store.recordstore import RecordStore
-from repro.store.schema import LAYER_CODES, empty_files, empty_jobs
+from repro.store.schema import FILE_DTYPE, LAYER_CODES, empty_jobs, raw_rows
 from repro.units import GB, MiB
 from repro.workloads.archetypes import ArchetypeSpec, FileGroupSpec
 from repro.workloads.domains import (
@@ -268,7 +268,10 @@ class WorkloadGenerator:
                 sl for _, group, _, _, _, sl in plans
                 if group.interface == IOInterface.MPIIO
             ] if shadows else []
-            files = empty_files(rows + sum(sl.stop - sl.start for sl in mpiio))
+            # Zeroed: each block writes its own rows' domain, rank and ext.
+            files = np.zeros(
+                rows + sum(sl.stop - sl.start for sl in mpiio), dtype=FILE_DTYPE
+            )
             insystem_jobs = [np.empty(0, dtype=np.int64)]
             for unit, group, batch, rng, counts, sl in plans:
                 self._generate_block(group, batch, rng, unit.log_lo, counts, files[sl])
@@ -282,7 +285,7 @@ class WorkloadGenerator:
                 sp.add(shadow_rows=len(files) - rows)
             for sl in mpiio:
                 tail = files[pos:pos + sl.stop - sl.start]
-                tail[...] = files[sl]
+                raw_rows(tail)[...] = raw_rows(files[sl])
                 tail["interface"] = int(IOInterface.POSIX)
                 pos += len(tail)
         jobs = self._job_table(batches, np.concatenate(insystem_jobs))
@@ -483,6 +486,8 @@ class WorkloadGenerator:
                 [self._ext_code.get(e, -1) for e in names], dtype=np.int16
             )
             files["ext"] = codes[rng.choice(len(names), size=total, p=p)]
+        else:
+            files["ext"] = -1
 
         # Op-class and byte volumes.
         opclass = rng.choice(3, size=total, p=np.asarray(group.opclass_probs))

@@ -18,6 +18,7 @@ from repro.analysis import (
     request_cdfs,
     transfer_cdfs,
 )
+from repro.store.merge import merge_stores
 from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
 pytestmark = pytest.mark.stress
@@ -61,3 +62,24 @@ def test_generate_and_analyze_at_4x_scale(platform):
     # the dtype's nominal row cost (no accidental object columns).
     per_row = store.files.nbytes / len(store.files)
     assert per_row < 400
+
+
+def test_fleet_merge_rate():
+    """Three ~1M-row summit members merged in fleet mode (DESIGN.md §14).
+
+    The members are one generated population three times over: a merge
+    moves rows and rewrites columns whatever their values, and one
+    generation keeps the guard's memory near 1 GB. On a 2-core host one
+    cold merge ran at 2.3–4.7M merged rows/s (7 processes), against
+    2.1–2.4M when rows moved as the structured dtype; the floor is half
+    the lowest reading.
+    """
+    member = WorkloadGenerator(
+        "summit", GeneratorConfig(scale=6.5e-4)
+    ).generate(99, shadows=True)
+    assert len(member.files) > 900_000
+    t0 = time.perf_counter()
+    merged = merge_stores([member] * 3, remap_log_ids=True, remap_job_ids=True)
+    seconds = time.perf_counter() - t0
+    assert len(merged.files) == 3 * len(member.files)
+    assert len(merged.files) / seconds > 1_100_000, seconds
