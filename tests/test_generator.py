@@ -1,6 +1,7 @@
 """Tests for the workload generator."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from repro.workloads.generator import (
     _consistent_histograms,
 )
 from repro.workloads.distributions import BinProfile
+from repro.workloads.mixes import cori_mix
 
 
 class TestDeterminism:
@@ -99,6 +101,19 @@ class TestStructure:
 
     def test_summit_domains_all_known(self, summit_store_small):
         assert (summit_store_small.jobs["domain"] >= 0).all()
+
+
+    def test_groups_without_extensions_read_none(self):
+        # The table is allocated zeroed, so a group with no extension mix
+        # must write the -1 "none" code itself (0 is the first extension).
+        mix = [
+            (w, replace(spec, groups=tuple(replace(g, ext_probs={}) for g in spec.groups)))
+            for w, spec in cori_mix()
+        ]
+        store = WorkloadGenerator("cori", GeneratorConfig(scale=5e-5), mix=mix).generate(
+            11, shadows=True
+        )
+        assert len(store.files) and (store.files["ext"] == -1).all()
 
 
 class TestShadows:
