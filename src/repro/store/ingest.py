@@ -144,7 +144,10 @@ def _ingest_logs(
         if cols["job_id"]:
             nrows += len(cols["job_id"])
             for c in _SCALAR_COLS:
-                chunks[c].append(np.asarray(cols[c]))
+                # record ids span the full uint64 range: a list mixing
+                # ids >= 2**63 with smaller ones would infer float64
+                dtype = np.uint64 if c == "record_id" else None
+                chunks[c].append(np.asarray(cols[c], dtype=dtype))
             for c in ("read_hist", "write_hist"):
                 hist_chunks[c].append(np.stack(hists[c]))
         prev = job_rows.get(job.job_id)
