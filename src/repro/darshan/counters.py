@@ -15,7 +15,6 @@ gap is one of the paper's findings (Recommendation 4).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Mapping
 
 from repro.darshan.bins import ACCESS_SIZE_BINS
@@ -141,38 +140,50 @@ def module_fcounters(module: ModuleId) -> tuple[str, ...]:
     return _REGISTRY[module][1]
 
 
-@lru_cache(maxsize=None)
-def counter_index(module: ModuleId, name: str) -> int:
-    """Index of an integer counter within its module's counter array.
+def counter_slot(module: ModuleId, name: str) -> tuple[bool, int]:
+    """``(is_float, index)`` of a counter in its module's arrays.
 
     ``name`` may be bare (``"BYTES_READ"``) or fully qualified with the
-    module prefix (``"POSIX_BYTES_READ"``).
+    module prefix (``"POSIX_BYTES_READ"``); ``is_float`` says whether it
+    indexes the fcounter array. Unknown names raise ``KeyError``.
     """
-    bare = _strip_prefix(module, name)
     try:
-        return _REGISTRY[module][0].index(bare)
-    except ValueError:
+        return _SLOTS[module][name]
+    except KeyError:
         raise KeyError(f"{module.prefix} has no counter {name!r}") from None
 
 
-@lru_cache(maxsize=None)
+def counter_index(module: ModuleId, name: str) -> int:
+    """Index of an integer counter (bare or qualified name) in its array."""
+    is_float, i = _SLOTS[module].get(name, (True, -1))
+    if is_float:
+        raise KeyError(f"{module.prefix} has no counter {name!r}")
+    return i
+
+
 def fcounter_index(module: ModuleId, name: str) -> int:
-    """Index of a float counter within its module's fcounter array."""
-    bare = _strip_prefix(module, name)
-    try:
-        return _REGISTRY[module][1].index(bare)
-    except ValueError:
-        raise KeyError(f"{module.prefix} has no fcounter {name!r}") from None
-
-
-def _strip_prefix(module: ModuleId, name: str) -> str:
-    prefix = module.prefix + "_"
-    return name[len(prefix):] if name.startswith(prefix) else name
+    """Index of a float counter (bare or qualified name) in its array."""
+    is_float, i = _SLOTS[module].get(name, (False, -1))
+    if not is_float:
+        raise KeyError(f"{module.prefix} has no fcounter {name!r}")
+    return i
 
 
 def qualified_name(module: ModuleId, bare: str) -> str:
     """``(POSIX, "BYTES_READ") -> "POSIX_BYTES_READ"``."""
     return f"{module.prefix}_{bare}"
+
+
+def _slots(module: ModuleId) -> dict[str, tuple[bool, int]]:
+    """Every counter name of a module, bare and qualified, to its slot."""
+    table = {}
+    for is_float, names in enumerate(_REGISTRY[module]):
+        for i, bare in enumerate(names):
+            table[bare] = table[qualified_name(module, bare)] = (bool(is_float), i)
+    return table
+
+
+_SLOTS = {module: _slots(module) for module in _REGISTRY}
 
 
 def has_size_histogram(module: ModuleId) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from repro.darshan.constants import DATA_MODULES, ModuleId
+from repro.darshan.constants import ModuleId
 from repro.darshan.records import FileRecord, JobRecord, NameRecord
 
 
@@ -123,11 +123,6 @@ class DarshanLog:
                 read += r.bytes_read
                 written += r.bytes_written
         return read, written
-
-    def data_records(self) -> Iterator[FileRecord]:
-        """Records from data-path modules only (POSIX, MPI-IO, STDIO)."""
-        for module in DATA_MODULES:
-            yield from self.records(module)
 
     def __repr__(self) -> str:
         counts = ", ".join(

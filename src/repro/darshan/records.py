@@ -25,8 +25,7 @@ import numpy as np
 
 from repro.darshan.constants import ModuleId
 from repro.darshan.counters import (
-    counter_index,
-    fcounter_index,
+    counter_slot,
     module_counters,
     module_fcounters,
 )
@@ -138,24 +137,20 @@ class FileRecord:
     # -- named access -----------------------------------------------------
     def get(self, name: str) -> float:
         """Read a counter by (bare or qualified) name."""
-        try:
-            return int(self.counters[counter_index(self.module, name)])
-        except KeyError:
-            return float(self.fcounters[fcounter_index(self.module, name)])
+        is_float, i = counter_slot(self.module, name)
+        return float(self.fcounters[i]) if is_float else int(self.counters[i])
 
     def set(self, name: str, value: float) -> None:
         """Write a counter by (bare or qualified) name."""
-        try:
-            self.counters[counter_index(self.module, name)] = int(value)
-        except KeyError:
-            self.fcounters[fcounter_index(self.module, name)] = float(value)
+        is_float, i = counter_slot(self.module, name)
+        array, cast = (self.fcounters, float) if is_float else (self.counters, int)
+        array[i] = cast(value)
 
     def add(self, name: str, value: float) -> None:
         """Increment a counter by (bare or qualified) name."""
-        try:
-            self.counters[counter_index(self.module, name)] += int(value)
-        except KeyError:
-            self.fcounters[fcounter_index(self.module, name)] += float(value)
+        is_float, i = counter_slot(self.module, name)
+        array, cast = (self.fcounters, float) if is_float else (self.counters, int)
+        array[i] += cast(value)
 
     def __getitem__(self, name: str) -> float:
         return self.get(name)
@@ -166,19 +161,19 @@ class FileRecord:
     # -- derived quantities the paper's analyses use ----------------------
     @property
     def bytes_read(self) -> int:
-        return int(self.get("BYTES_READ")) if self._has("BYTES_READ") else 0
+        return int(self._get_or_zero("BYTES_READ"))
 
     @property
     def bytes_written(self) -> int:
-        return int(self.get("BYTES_WRITTEN")) if self._has("BYTES_WRITTEN") else 0
+        return int(self._get_or_zero("BYTES_WRITTEN"))
 
     @property
     def read_time(self) -> float:
-        return float(self.get("F_READ_TIME")) if self._has_f("F_READ_TIME") else 0.0
+        return float(self._get_or_zero("F_READ_TIME"))
 
     @property
     def write_time(self) -> float:
-        return float(self.get("F_WRITE_TIME")) if self._has_f("F_WRITE_TIME") else 0.0
+        return float(self._get_or_zero("F_WRITE_TIME"))
 
     @property
     def is_shared(self) -> bool:
@@ -199,20 +194,16 @@ class FileRecord:
         t = self.write_time
         return self.bytes_written / t if t > 0 else 0.0
 
-    def _has(self, bare: str) -> bool:
-        return bare in module_counters(self.module)
-
-    def _has_f(self, bare: str) -> bool:
-        return bare in module_fcounters(self.module)
+    def _get_or_zero(self, name: str) -> float:
+        try:
+            return self.get(name)
+        except KeyError:
+            return 0
 
     def named_counters(self) -> Mapping[str, int]:
         """Dict view of integer counters (for debugging and report dumps)."""
         names = module_counters(self.module)
         return {n: int(v) for n, v in zip(names, self.counters)}
-
-    def named_fcounters(self) -> Mapping[str, float]:
-        names = module_fcounters(self.module)
-        return {n: float(v) for n, v in zip(names, self.fcounters)}
 
     def __repr__(self) -> str:
         return (

@@ -55,6 +55,33 @@ class TestFileRecord:
         assert rec.read_time == 2.0
         assert not rec.is_shared
 
+    @pytest.mark.parametrize("module", [ModuleId.POSIX, ModuleId.MPIIO, ModuleId.STDIO])
+    def test_bare_and_qualified_names_share_a_slot(self, module):
+        rec = FileRecord(module, 42)
+        rec.set("BYTES_WRITTEN", 9)
+        rec.add(f"{module.prefix}_BYTES_WRITTEN", 1)
+        assert rec.get("BYTES_WRITTEN") == rec[f"{module.prefix}_BYTES_WRITTEN"] == 10
+        assert isinstance(rec.get("BYTES_WRITTEN"), int)
+        assert rec.named_counters()["BYTES_WRITTEN"] == 10
+
+    def test_float_names_reach_the_fcounters(self):
+        rec = FileRecord(ModuleId.MPIIO, 42)
+        rec.set("MPIIO_F_META_TIME", 1.25)
+        rec.add("F_META_TIME", 0.5)
+        assert rec.get("F_META_TIME") == 1.75
+        assert isinstance(rec.get("MPIIO_F_META_TIME"), float)
+        assert not rec.counters.any()
+
+    @pytest.mark.parametrize(
+        "name", ["NOT_A_COUNTER", "SIZE_READ_0_100", "MPIIO_BYTES_READ", "STDIO_"]
+    )
+    def test_unknown_names_raise_keyerror(self, name):
+        rec = FileRecord(ModuleId.STDIO, 42)
+        for op in (rec.get, lambda n: rec.set(n, 1), lambda n: rec.add(n, 1)):
+            with pytest.raises(KeyError, match="STDIO has no counter"):
+                op(name)
+        assert not rec.counters.any() and not rec.fcounters.any()
+
     def test_bandwidths(self):
         rec = FileRecord(ModuleId.STDIO, 1)
         rec.set("BYTES_WRITTEN", 10**6)
