@@ -1,20 +1,20 @@
 """Ingesting DarshanLog objects into a RecordStore.
 
-This is the slow-but-faithful path: the same transformation the study's
-tooling performs on real ``.darshan`` files. The workload generator's
-vectorized path emits equivalent rows directly; the integration tests
-assert the two paths agree on a shared population.
+This is the transformation the study's tooling performs on real
+``.darshan`` files. The workload generator's vectorized path emits
+equivalent rows directly; the integration tests assert the two paths
+agree on a shared population.
 
 Layer resolution follows §3.1's accounting: a file accessed through
 MPI-IO contributes its POSIX record's bytes (MPI-IO sits on POSIX), so
 MPI-IO rows are kept for interface-usage analyses but flagged via the
 ``interface`` column, and volume analyses select POSIX+STDIO rows only.
 
-Rows are accumulated **per log into NumPy column chunks** (one small
-array per column per log, concatenated once at the end) rather than a
-Python list of per-record tuples: the tuple path churned one ~260-byte
-structured assignment per record and made facility-scale ingest memory
-behaviour quadratic-ish in practice.
+Each (log, module) block converts in one step: its records' counters
+stack into an int64 and a float64 matrix, and the file-table columns
+are slices of those at indices fixed per module by the counter
+registries (:data:`_COLUMNS`). Only mount resolution and the extension
+code look at records one at a time.
 
 :func:`ingest_log_paths` is the file-level entry point; with ``jobs > 1``
 it shards the path list contiguously over a process pool, each worker
@@ -29,21 +29,55 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.darshan.constants import ModuleId
+from repro.darshan.bins import ACCESS_SIZE_BINS
+from repro.darshan.constants import DATA_MODULES, ModuleId
+from repro.darshan.counters import counter_index, counter_slot, module_counters
 from repro.darshan.log import DarshanLog
+from repro.darshan.records import FileRecord
 from repro.errors import LogFormatError
 from repro.obs.tracer import trace_span
 from repro.platforms.machine import MountTable
 from repro.store.recordstore import RecordStore
-from repro.store.schema import LAYER_CODES, LAYER_OTHER, empty_files, empty_jobs
-
-#: Scalar file-table columns in ingest fill order (histograms handled
-#: separately: they are per-record arrays, stacked per log).
-_SCALAR_COLS = (
-    "job_id", "log_id", "user_id", "record_id", "layer", "interface",
-    "rank", "nprocs", "domain", "ext", "bytes_read", "bytes_written",
-    "read_time", "write_time", "meta_time", "reads", "writes",
+from repro.store.schema import (
+    LAYER_CODES,
+    LAYER_INSYSTEM,
+    LAYER_OTHER,
+    concat_rows,
+    empty_files,
+    empty_jobs,
 )
+
+#: Each file-table field's counters. A single name is copied; a tuple
+#: of names is summed (op counts) or kept in order (size histograms).
+#: Names a module lacks are skipped: only MPI-IO splits its op counts,
+#: and STDIO has no ``SIZE_*`` histogram, so its rows keep zeros there.
+_FIELD_COUNTERS = {
+    "bytes_read": "BYTES_READ",
+    "bytes_written": "BYTES_WRITTEN",
+    "read_time": "F_READ_TIME",
+    "write_time": "F_WRITE_TIME",
+    "meta_time": "F_META_TIME",
+    "reads": ("READS", "INDEP_READS", "COLL_READS", "NB_READS"),
+    "writes": ("WRITES", "INDEP_WRITES", "COLL_WRITES", "NB_WRITES"),
+    "read_hist": tuple(f"SIZE_READ_{label}" for label in ACCESS_SIZE_BINS.labels),
+    "write_hist": tuple(f"SIZE_WRITE_{label}" for label in ACCESS_SIZE_BINS.labels),
+}
+
+
+def _columns(module: ModuleId) -> dict[str, tuple[bool, int | list[int]]]:
+    """Per field: whether it reads the fcounter matrix, and its columns."""
+    out = {}
+    for field, names in _FIELD_COUNTERS.items():
+        if isinstance(names, str):
+            out[field] = counter_slot(module, names)
+        elif cols := [
+            counter_index(module, n) for n in names if n in module_counters(module)
+        ]:
+            out[field] = (False, cols)
+    return out
+
+
+_COLUMNS = {module: _columns(module) for module in DATA_MODULES}
 
 
 def _extension_of(path: str) -> str:
@@ -81,6 +115,27 @@ def ingest_logs(
         return store
 
 
+def _module_rows(module: ModuleId, recs: list[FileRecord]) -> np.ndarray:
+    """File-table rows of one log's records of one module.
+
+    Fills every column that comes from the records themselves; the
+    caller fills the job's columns, ``layer`` and ``ext``.
+    """
+    n = len(recs)
+    counters = np.stack([rec.counters for rec in recs])
+    fcounters = np.stack([rec.fcounters for rec in recs])
+    rows = empty_files(n)
+    rows["record_id"] = np.fromiter((r.record_id for r in recs), np.uint64, n)
+    rows["rank"] = np.fromiter((r.rank for r in recs), np.int32, n)
+    rows["interface"] = int(module)
+    for field, (is_float, cols) in _COLUMNS[module].items():
+        value = (fcounters if is_float else counters)[:, cols]
+        if value.ndim > rows[field].ndim:  # op counts, one column each
+            value = value.sum(axis=1)
+        rows[field] = value
+    return rows
+
+
 def _ingest_logs(
     logs: Iterable[DarshanLog],
     platform: str,
@@ -92,12 +147,9 @@ def _ingest_logs(
 ) -> RecordStore:
     domains = tuple(domains)
     domain_code = {d: i for i, d in enumerate(domains)}
-
-    chunks: dict[str, list[np.ndarray]] = {c: [] for c in _SCALAR_COLS}
-    hist_chunks: dict[str, list[np.ndarray]] = {"read_hist": [], "write_hist": []}
-    nrows = 0
-    job_rows: dict[int, tuple] = {}
     extensions = {e: i for i, e in enumerate(extensions)}
+    blocks: list[np.ndarray] = []
+    job_rows: dict[int, tuple] = {}
     log_counts: dict[int, int] = {}
 
     for log_id, log in enumerate(logs):
@@ -106,50 +158,29 @@ def _ingest_logs(
         log_counts[job.job_id] = log_counts.get(job.job_id, 0) + 1
         names = log.name_records()
         touched_bb = False
-        cols: dict[str, list] = {c: [] for c in _SCALAR_COLS}
-        hists: dict[str, list[np.ndarray]] = {"read_hist": [], "write_hist": []}
-        for module in (ModuleId.POSIX, ModuleId.MPIIO, ModuleId.STDIO):
-            for rec in log.records(module):
-                nr = names[rec.record_id]
-                layer = mounts.resolve(nr.path)
-                layer_code = (
-                    LAYER_CODES.get(layer.key, LAYER_OTHER)
-                    if layer is not None else LAYER_OTHER
-                )
-                if layer is not None and layer.key == "insystem":
-                    touched_bb = True
-                ext = _extension_of(nr.path)
-                ext_code = -1
-                if ext:
-                    ext_code = extensions.setdefault(ext, len(extensions))
-                cols["job_id"].append(job.job_id)
-                cols["log_id"].append(log_id)
-                cols["user_id"].append(job.user_id)
-                cols["record_id"].append(rec.record_id)
-                cols["layer"].append(layer_code)
-                cols["interface"].append(int(module))
-                cols["rank"].append(rec.rank)
-                cols["nprocs"].append(job.nprocs)
-                cols["domain"].append(dcode)
-                cols["ext"].append(ext_code)
-                cols["bytes_read"].append(rec.bytes_read)
-                cols["bytes_written"].append(rec.bytes_written)
-                cols["read_time"].append(rec.read_time)
-                cols["write_time"].append(rec.write_time)
-                cols["meta_time"].append(float(rec.get("F_META_TIME")))
-                cols["reads"].append(_op_count(rec, "read"))
-                cols["writes"].append(_op_count(rec, "write"))
-                hists["read_hist"].append(_hist(rec, "READ"))
-                hists["write_hist"].append(_hist(rec, "WRITE"))
-        if cols["job_id"]:
-            nrows += len(cols["job_id"])
-            for c in _SCALAR_COLS:
-                # record ids span the full uint64 range: a list mixing
-                # ids >= 2**63 with smaller ones would infer float64
-                dtype = np.uint64 if c == "record_id" else None
-                chunks[c].append(np.asarray(cols[c], dtype=dtype))
-            for c in ("read_hist", "write_hist"):
-                hist_chunks[c].append(np.stack(hists[c]))
+        for module in DATA_MODULES:
+            recs = log.records(module)
+            if not recs:
+                continue
+            rows = _module_rows(module, recs)
+            rows["job_id"] = job.job_id
+            rows["log_id"] = log_id
+            rows["user_id"] = job.user_id
+            rows["nprocs"] = job.nprocs
+            rows["domain"] = dcode
+            # The per-record step: mount resolution and extension codes.
+            paths = [names[rec.record_id].path for rec in recs]
+            layers = [mounts.resolve(path) for path in paths]
+            rows["layer"] = [
+                LAYER_OTHER if lay is None else LAYER_CODES.get(lay.key, LAYER_OTHER)
+                for lay in layers
+            ]
+            rows["ext"] = [
+                extensions.setdefault(ext, len(extensions)) if ext else -1
+                for ext in map(_extension_of, paths)
+            ]
+            touched_bb = touched_bb or LAYER_INSYSTEM in rows["layer"]
+            blocks.append(rows)
         prev = job_rows.get(job.job_id)
         job_rows[job.job_id] = (
             job.job_id, job.user_id,
@@ -159,12 +190,7 @@ def _ingest_logs(
             1 if (touched_bb or (prev is not None and prev[8])) else 0,
         )
 
-    files = empty_files(nrows)
-    if nrows:
-        for c in _SCALAR_COLS:
-            files[c] = np.concatenate(chunks[c])
-        for c in ("read_hist", "write_hist"):
-            files[c] = np.concatenate(hist_chunks[c])
+    files = concat_rows(blocks) if blocks else empty_files(0)
     jobs = empty_jobs(len(job_rows))
     for i, row in enumerate(job_rows.values()):
         jobs[i] = row
@@ -245,35 +271,8 @@ def ingest_log_paths(
             (paths[sl], platform, mounts, tuple(domains), tuple(extensions), scale)
             for sl in slices
         ]
-        # Shard stores return as plain pickles: parsing dominates ingest,
-        # and a shared-memory hand-off measured no faster (DESIGN.md §12).
+        # Shard stores return as plain pickles: a shared-memory hand-off
+        # measured no faster (DESIGN.md §12).
         shards = run_sharded(_ingest_shard, payloads, jobs=njobs)
         return merge_stores(shards, remap_log_ids=True)
 
-
-def _op_count(rec, direction: str) -> int:
-    """Total read/write operation count across the module's counters."""
-    total = 0
-    names = (
-        ("READS", "INDEP_READS", "COLL_READS", "NB_READS")
-        if direction == "read"
-        else ("WRITES", "INDEP_WRITES", "COLL_WRITES", "NB_WRITES")
-    )
-    for name in names:
-        try:
-            total += int(rec.get(name))
-        except KeyError:
-            continue
-    return total
-
-
-def _hist(rec, direction: str) -> np.ndarray:
-    """Request-size histogram (zeros for STDIO, which lacks one)."""
-    from repro.darshan.bins import ACCESS_SIZE_BINS
-    from repro.darshan.counters import has_size_histogram
-
-    out = np.zeros(ACCESS_SIZE_BINS.nbins, dtype=np.int64)
-    if has_size_histogram(rec.module):
-        for i, label in enumerate(ACCESS_SIZE_BINS.labels):
-            out[i] = int(rec.get(f"SIZE_{direction}_{label}"))
-    return out
