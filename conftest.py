@@ -7,8 +7,8 @@ Makefile exports ``PYTHONPATH=src`` for the same reason; this conftest
 makes the tier-1 invocation work without it.
 
 The repo root itself is also added so test modules can import shared
-helpers from the ``tests`` package (e.g. the differential harness
-reuses ``tests.test_analysis_equivalence.assert_equivalent``).
+helpers from the ``tests`` package (e.g. the stream differential
+harness reuses ``tests.test_analysis_equivalence.assert_equivalent``).
 """
 
 import os

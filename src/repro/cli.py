@@ -37,6 +37,7 @@ import numpy as np
 from repro.analysis.report import HEADERS, render_results, render_table
 from repro.api import run_query
 from repro.core import CharacterizationStudy, StudyConfig
+from repro.errors import ReproError
 from repro.federation.registry import federated_query_names
 from repro.platforms import get_platform
 from repro.platforms.interfaces import IOInterface
@@ -431,7 +432,6 @@ def _cmd_generate(args) -> int:
               file=sys.stderr)
         return 2
     if args.spec is not None or args.archetype is not None:
-        from repro.errors import SpecError
         from repro.spec import generate_from_spec, load_spec
 
         source = args.spec
@@ -444,15 +444,10 @@ def _cmd_generate(args) -> int:
                             "weight": 1.0,
                             "params": {"name": args.archetype}}],
             }
-        try:
-            spec = load_spec(source)
-            store = generate_from_spec(
-                spec, seed=args.seed,
-                platform=args.platform, scale=args.scale,
-            )
-        except SpecError as exc:
-            print(f"generate: {exc}", file=sys.stderr)
-            return 1
+        spec = load_spec(source)
+        store = generate_from_spec(
+            spec, seed=args.seed, platform=args.platform, scale=args.scale,
+        )
         provenance = f" (spec {spec.name})"
     else:
         gen = WorkloadGenerator(args.platform, GeneratorConfig(scale=args.scale))
@@ -475,27 +470,22 @@ def _run_federated(command: str, catalog_path: str, name: str, params: dict):
     """One federated query in process: ``(spec, result)``, or an exit code.
 
     Runs the very QuerySpec a ``repro serve --catalog`` would dispatch
-    on. An unknown name (exit 2) and a typed failure (exit 1) are
-    reported on stderr, prefixed with ``command``.
+    on. An unknown name is reported on stderr, prefixed with
+    ``command``, and exits 2.
     """
-    from repro.errors import ReproError
     from repro.serve.registry import validate_params
 
-    try:
-        executor, federated = _federated_executor(catalog_path)
-        with executor:
-            spec = federated.get(name)
-            if spec is None:
-                print(
-                    f"{command}: {name!r} is not a federated query; "
-                    f"federated names: {', '.join(sorted(federated))}",
-                    file=sys.stderr,
-                )
-                return 2
-            return spec, spec.run(None, validate_params(spec, params))
-    except ReproError as exc:
-        print(f"{command}: {exc}", file=sys.stderr)
-        return 1
+    executor, federated = _federated_executor(catalog_path)
+    with executor:
+        spec = federated.get(name)
+        if spec is None:
+            print(
+                f"{command}: {name!r} is not a federated query; "
+                f"federated names: {', '.join(sorted(federated))}",
+                file=sys.stderr,
+            )
+            return 2
+        return spec, spec.run(None, validate_params(spec, params))
 
 
 def _cmd_analyze(args) -> int:
@@ -545,73 +535,68 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_catalog(args) -> int:
-    from repro.errors import CatalogError
     from repro.federation import StoreCatalog, load_catalog
 
-    try:
-        if args.catalog_command == "init":
-            StoreCatalog.init(args.catalog)
-            print(f"initialized empty catalog at {args.catalog}")
-            return 0
-        catalog = load_catalog(args.catalog)
-        if args.catalog_command == "add":
-            if bool(args.store) == bool(args.endpoint):
-                print("catalog add: exactly one of --store or --endpoint "
-                      "is required", file=sys.stderr)
+    if args.catalog_command == "init":
+        StoreCatalog.init(args.catalog)
+        print(f"initialized empty catalog at {args.catalog}")
+        return 0
+    catalog = load_catalog(args.catalog)
+    if args.catalog_command == "add":
+        if bool(args.store) == bool(args.endpoint):
+            print("catalog add: exactly one of --store or --endpoint "
+                  "is required", file=sys.stderr)
+            return 2
+        if args.store:
+            member = catalog.add_store(
+                args.label, args.store,
+                facility=args.facility, period=args.period,
+            )
+        else:
+            host, _, port = args.endpoint.rpartition(":")
+            try:
+                port = int(port)
+            except ValueError:
+                print(f"catalog add: malformed --endpoint "
+                      f"{args.endpoint!r} (want HOST:PORT)",
+                      file=sys.stderr)
                 return 2
-            if args.store:
-                member = catalog.add_store(
-                    args.label, args.store,
-                    facility=args.facility, period=args.period,
-                )
-            else:
-                host, _, port = args.endpoint.rpartition(":")
-                try:
-                    port = int(port)
-                except ValueError:
-                    print(f"catalog add: malformed --endpoint "
-                          f"{args.endpoint!r} (want HOST:PORT)",
-                          file=sys.stderr)
-                    return 2
-                member = catalog.add_endpoint(
-                    args.label, host, port,
-                    facility=args.facility, period=args.period,
-                )
-            print(f"added {member.kind} member {member.label!r} "
-                  f"({member.rows} rows, {member.jobs} jobs)")
-            return 0
-        if args.catalog_command == "remove":
-            member = catalog.remove(args.label)
-            print(f"removed member {member.label!r}")
-            return 0
-        if args.catalog_command == "list":
-            from repro.federation import FederationExecutor
+            member = catalog.add_endpoint(
+                args.label, host, port,
+                facility=args.facility, period=args.period,
+            )
+        print(f"added {member.kind} member {member.label!r} "
+              f"({member.rows} rows, {member.jobs} jobs)")
+        return 0
+    if args.catalog_command == "remove":
+        member = catalog.remove(args.label)
+        print(f"removed member {member.label!r}")
+        return 0
+    if args.catalog_command == "list":
+        from repro.federation import FederationExecutor
 
-            rows = FederationExecutor(catalog).members_table().to_rows()
-            print(render_table(
-                HEADERS["catalog"], rows,
-                title=f"Catalog - {args.catalog} ({len(catalog)} members)",
-            ))
-            return 0
-        if args.catalog_command == "verify":
-            problems = catalog.verify()
-            for problem in problems:
-                print(f"FAIL {problem}")
-            if problems:
-                print(f"{len(problems)} problem(s) found")
-                return 1
-            print(f"catalog ok ({len(catalog)} members)")
-            return 0
-        if args.catalog_command == "refresh":
-            bumped = catalog.refresh()
-            if bumped:
-                print("bumped generation of: " + ", ".join(bumped))
-            else:
-                print("all members up to date")
-            return 0
-    except CatalogError as exc:
-        print(f"catalog: {exc}", file=sys.stderr)
-        return 1
+        rows = FederationExecutor(catalog).members_table().to_rows()
+        print(render_table(
+            HEADERS["catalog"], rows,
+            title=f"Catalog - {args.catalog} ({len(catalog)} members)",
+        ))
+        return 0
+    if args.catalog_command == "verify":
+        problems = catalog.verify()
+        for problem in problems:
+            print(f"FAIL {problem}")
+        if problems:
+            print(f"{len(problems)} problem(s) found")
+            return 1
+        print(f"catalog ok ({len(catalog)} members)")
+        return 0
+    if args.catalog_command == "refresh":
+        bumped = catalog.refresh()
+        if bumped:
+            print("bumped generation of: " + ", ".join(bumped))
+        else:
+            print("all members up to date")
+        return 0
     raise AssertionError(f"unhandled catalog command {args.catalog_command}")
 
 
@@ -918,8 +903,14 @@ def main(argv: list[str] | None = None) -> int:
         "replay": _cmd_replay,
         "ior": _cmd_ior,
     }
-    with _maybe_trace(getattr(args, "trace", None), args.command):
-        return handlers[args.command](args)
+    try:
+        with _maybe_trace(getattr(args, "trace", None), args.command):
+            return handlers[args.command](args)
+    except (ReproError, FileNotFoundError) as exc:
+        # A typed failure or a missing input is a message, not a
+        # traceback; the trace, if any, has already recorded the error.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -1,16 +1,20 @@
 """Golden equivalence: the context path must match the seed path bit-for-bit.
 
-Every analysis entry point runs twice on the same fixed-seed store —
-once through :mod:`repro.analysis.legacy` (the pre-context per-analysis
-scan implementations, preserved verbatim) and once through the shared
-:class:`~repro.analysis.context.AnalysisContext` path — and the results
-must be *identical*: same dataclasses, same ints, bit-equal floats, same
-rendered report rows. This pins the refactor: a change that makes the
+The seed's per-analysis scans were kept as a frozen oracle until their
+results were pinned in ``tests/goldens/analysis_results.json``, from
+code that matched them bit for bit. Every public analysis entry point,
+called directly and cold on a fresh store, must reproduce the pinned
+result of the registry query it answers: same dataclasses, same ints,
+bit-equal floats, same rendered report rows. A change that makes the
 fast path faster but shifts any paper number fails here.
+
+:func:`assert_equivalent` is the recursive bit-equality the stream
+differential harness compares live and cold results with.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import fields, is_dataclass
 
@@ -18,7 +22,9 @@ import numpy as np
 import pytest
 
 from repro import analysis as fast
-from repro.analysis import legacy
+
+from tests.conftest import fresh_store
+from tests.test_analysis_results import load_golden, pin, rendered_rows
 
 
 def assert_equivalent(a, b, where="result"):
@@ -38,68 +44,56 @@ def assert_equivalent(a, b, where="result"):
         for i, (x, y) in enumerate(zip(a, b)):
             assert_equivalent(x, y, f"{where}[{i}]")
     elif isinstance(a, np.ndarray):
-        np.testing.assert_array_equal(a, b, err_msg=where)
+        np.testing.assert_array_equal(a, b, err_msg=where, strict=True)
     elif isinstance(a, float):
         assert (math.isnan(a) and math.isnan(b)) or a == b, f"{where}: {a} vs {b}"
     else:
         assert a == b, f"{where}: {a!r} vs {b!r}"
 
 
-#: (name, fast entry point, legacy twin). Lambdas take the store.
-CASES = [
-    ("dataset_summary", fast.dataset_summary, legacy.dataset_summary),
-    ("layer_volumes", fast.layer_volumes, legacy.layer_volumes),
-    ("large_files", fast.large_files, legacy.large_files),
-    ("layer_exclusivity", fast.layer_exclusivity, legacy.layer_exclusivity),
-    ("interface_usage", fast.interface_usage, legacy.interface_usage),
-    ("transfer_cdfs", fast.transfer_cdfs, legacy.transfer_cdfs),
-    (
-        "interface_transfer_cdfs",
-        fast.interface_transfer_cdfs,
-        legacy.interface_transfer_cdfs,
+#: Each entry point (keyword variants included) and the registry query
+#: whose pinned result it must reproduce.
+ENTRY_POINTS = {
+    "dataset_summary": ("table2", fast.dataset_summary),
+    "layer_volumes": ("table3", fast.layer_volumes),
+    "large_files": ("table4", fast.large_files),
+    "layer_exclusivity": ("table5", fast.layer_exclusivity),
+    "interface_usage": ("table6", fast.interface_usage),
+    "transfer_cdfs": ("fig3", fast.transfer_cdfs),
+    "interface_transfer_cdfs": ("fig9", fast.interface_transfer_cdfs),
+    "request_cdfs": ("fig4", fast.request_cdfs),
+    "request_cdfs_large_jobs": (
+        "fig5", functools.partial(fast.request_cdfs, large_jobs_only=True)
     ),
-    ("request_cdfs", fast.request_cdfs, legacy.request_cdfs),
-    (
-        "request_cdfs_large_jobs",
-        lambda s: fast.request_cdfs(s, large_jobs_only=True),
-        lambda s: legacy.request_cdfs(s, large_jobs_only=True),
+    "file_classification": ("fig6", fast.file_classification),
+    "file_classification_stdio": (
+        "fig8", functools.partial(fast.file_classification, stdio_only=True)
     ),
-    ("file_classification", fast.file_classification, legacy.file_classification),
-    (
-        "file_classification_stdio",
-        lambda s: fast.file_classification(s, stdio_only=True),
-        lambda s: legacy.file_classification(s, stdio_only=True),
-    ),
-    ("insystem_domain_usage", fast.insystem_domain_usage, legacy.insystem_domain_usage),
-    ("stdio_domain_usage", fast.stdio_domain_usage, legacy.stdio_domain_usage),
-    ("performance_by_bin", fast.performance_by_bin, legacy.performance_by_bin),
-    ("bandwidth_variability", fast.bandwidth_variability, legacy.bandwidth_variability),
-]
-
-_IDS = [name for name, _, _ in CASES]
+    "insystem_domain_usage": ("fig7", fast.insystem_domain_usage),
+    "stdio_domain_usage": ("fig10", fast.stdio_domain_usage),
+    "performance_by_bin": ("fig11", fast.performance_by_bin),
+    "bandwidth_variability": ("variability", fast.bandwidth_variability),
+}
 
 
 @pytest.fixture(params=["summit", "cori"], scope="module")
-def store(request, summit_store_small, cori_store_small):
-    return summit_store_small if request.param == "summit" else cori_store_small
+def store_name(request):
+    return f"{request.param}_store_small"
 
 
-@pytest.mark.parametrize("name,fast_fn,legacy_fn", CASES, ids=_IDS)
-def test_context_path_matches_seed_path(store, name, fast_fn, legacy_fn):
-    assert_equivalent(fast_fn(store), legacy_fn(store), name)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_context_path_matches_seed_path(store_name, name, request):
+    query, fn = ENTRY_POINTS[name]
+    result = fn(fresh_store(request.getfixturevalue(store_name)))
+    assert pin(result) == load_golden()[store_name][query]["result"]
 
 
-@pytest.mark.parametrize("name,fast_fn,legacy_fn", CASES, ids=_IDS)
-def test_rendered_rows_match(store, name, fast_fn, legacy_fn):
-    """The report layer sees identical strings (formatting included)."""
-    new, old = fast_fn(store), legacy_fn(store)
-
-    def rows(result):
-        if isinstance(result, list):
-            return [row for item in result for row in item.to_rows()]
-        return result.to_rows()
-
-    assert rows(new) == rows(old)
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+def test_rendered_rows_match(store_name, name, request):
+    """The report layer sees the pinned strings (formatting included)."""
+    query, fn = ENTRY_POINTS[name]
+    result = fn(request.getfixturevalue(store_name))
+    assert rendered_rows(result) == load_golden()[store_name][query]["rows"]
 
 
 def test_warm_rerun_returns_identical_objects(summit_store_small):
@@ -108,3 +102,10 @@ def test_warm_rerun_returns_identical_objects(summit_store_small):
     second = fast.layer_volumes(summit_store_small)
     assert second is first
 
+
+def test_arrays_must_match_in_dtype():
+    """Equal values in another dtype are a drift, not a match."""
+    ints = np.arange(4, dtype=np.int64)
+    with pytest.raises(AssertionError):
+        assert_equivalent(ints, ints.astype(np.float64))
+    assert_equivalent(ints, ints.copy())

@@ -74,12 +74,17 @@ def pin(value) -> object:
     raise TypeError(f"no pinned form for {type(value).__name__}")
 
 
+def rendered_rows(result) -> list:
+    """A tabular result's report rows (a list result renders per item)."""
+    items = result if isinstance(result, (list, tuple)) else [result]
+    return [row for item in items for row in item.to_rows()]
+
+
 def pin_query(store, name: str) -> dict:
     result = run_query(store, name)
     pinned = {"result": pin(result)}
     if REGISTRY[name].kind == "table":
-        items = result if isinstance(result, (list, tuple)) else [result]
-        pinned["rows"] = [row for item in items for row in item.to_rows()]
+        pinned["rows"] = rendered_rows(result)
     return pinned
 
 

@@ -43,9 +43,11 @@ class TestGenerateAnalyze:
         out = capsys.readouterr().out
         assert "cori" in out
 
-    def test_analyze_missing_store(self, tmp_path):
-        with pytest.raises(FileNotFoundError):
-            main(["analyze", str(tmp_path / "nope.npz")])
+    def test_analyze_missing_store(self, tmp_path, capsys):
+        missing = str(tmp_path / "nope.npz")
+        assert main(["analyze", missing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("analyze: ") and missing in err
 
     @pytest.mark.parametrize("command", ["generate", "study", "shapes"])
     def test_generation_takes_no_jobs_flag(self, command, tmp_path, capsys):
@@ -82,6 +84,14 @@ class TestAdviseReplay:
         assert main(["replay", store_path, "--bin-hours", "6"]) == 0
         out = capsys.readouterr().out
         assert "Facility replay" in out and "pfs" in out
+
+    @pytest.mark.parametrize("command", ["advise", "replay"])
+    def test_corrupt_store_is_a_message(self, command, tmp_path, capsys):
+        garbage = tmp_path / "garbage.npz"
+        garbage.write_bytes(b"not a store")
+        assert main([command, str(garbage)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"{command}: {garbage}: corrupt store file")
 
 
 class TestIor:

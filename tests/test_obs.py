@@ -479,10 +479,9 @@ class TestCliTrace:
         from repro.cli import main
 
         path = tmp_path / "fail.json"
-        with pytest.raises(Exception):
-            main(["analyze", str(tmp_path / "missing.npz"),
-                  "--exhibit", "table3", "--trace", str(path)])
-        capsys.readouterr()
+        assert main(["analyze", str(tmp_path / "missing.npz"),
+                     "--exhibit", "table3", "--trace", str(path)]) == 1
+        assert "\nanalyze: " in capsys.readouterr().err
         doc, spans = self._load(path)
         (root,) = [e for e in spans if e["name"] == "cli.analyze"]
         assert "error" in root["args"]

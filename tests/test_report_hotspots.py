@@ -1,136 +1,30 @@
-"""Pinned outputs of the report's four costliest queries.
+"""Edge cases and loop references of the report's four costliest queries.
 
 ``tuning``, ``temporal``, ``advise_staging`` and ``advise_aggregation``
-are outside the legacy-equivalence suite, so their full results are
-pinned here, bit for bit, in ``tests/goldens/report_hotspots.json``:
-every float by ``float.hex``, every tuning trajectory's arrays element
-by element, and each temporal series by its dtype, length and a SHA-256
-of its bytes. The rendered rows round to 0.1% and would hide a drifted
-last digit; these pins do not.
-
-The edge-case classes pin behaviours the goldens' stores may not
-exercise, and the loop references are the straightforward per-job and
-per-file formulations the column versions must agree with on seeded
-random stores (duplicate job ids, ties and orphaned files included).
-
-Regenerate the golden file only for an intended change of results::
-
-    PYTHONPATH=src python -m tests.test_report_hotspots
+have their full results pinned, with every other registry query, in
+``tests/goldens/analysis_results.json``. The edge-case classes here pin
+behaviours the goldens' stores may not exercise, and the loop
+references are the straightforward per-job and per-file formulations
+the column versions must agree with on seeded random stores (duplicate
+job ids, ties and orphaned files included).
 """
 
 from __future__ import annotations
-
-import dataclasses
-import hashlib
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.analysis.temporal import temporal_profile
 from repro.analysis.tuning import tuning_report
-from repro.api import run_query
 from repro.optimize import assess_staging
 from repro.platforms import summit
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_CODES, LAYER_PFS, empty_files, empty_jobs
 
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "report_hotspots.json"
-QUERIES = ("tuning", "temporal", "advise_staging", "advise_aggregation")
-STORES = ("summit_store_small", "cori_store_small")
-
 POSIX = int(IOInterface.POSIX)
 MPIIO = int(IOInterface.MPIIO)
 STDIO = int(IOInterface.STDIO)
-
-
-# -- pinned form ---------------------------------------------------------------
-def _hexes(values: np.ndarray) -> dict:
-    return {
-        "dtype": str(values.dtype),
-        "values": [float(v).hex() for v in values],
-    }
-
-
-def _digest(values: np.ndarray) -> dict:
-    return {
-        "dtype": str(values.dtype),
-        "len": len(values),
-        "sha256": hashlib.sha256(np.ascontiguousarray(values).tobytes()).hexdigest(),
-    }
-
-
-def _fields(item) -> dict:
-    """A flat advisor dataclass with floats as ``float.hex``."""
-    out = {}
-    for key, value in dataclasses.asdict(item).items():
-        if isinstance(value, (float, np.floating)):
-            value = float(value).hex()
-        elif isinstance(value, (int, np.integer)):
-            value = int(value)
-        out[key] = value
-    return out
-
-
-def pin(name: str, result) -> object:
-    """The JSON form a query's full result is pinned in."""
-    if name == "tuning":
-        return {
-            "platform": result.platform,
-            "trajectories": [
-                {
-                    "user_id": t.user_id,
-                    "njobs": t.njobs,
-                    "request_sizes": _hexes(t.request_sizes),
-                    "mpiio_shares": _hexes(t.mpiio_shares),
-                    "trend": float(t.trend).hex(),
-                }
-                for t in result.trajectories
-            ],
-        }
-    if name == "temporal":
-        return {
-            "platform": result.platform,
-            "bin_seconds": float(result.bin_seconds).hex(),
-            "read_series": _digest(result.read_series),
-            "write_series": _digest(result.write_series),
-        }
-    if name == "advise_staging":
-        return _fields(result)
-    if name == "advise_aggregation":
-        return [_fields(o) for o in result]
-    raise KeyError(name)
-
-
-def pin_store(store: RecordStore) -> dict:
-    return {name: pin(name, run_query(store, name)) for name in QUERIES}
-
-
-def load_golden() -> dict:
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
-
-
-class TestGolden:
-    def test_golden_covers_every_store_and_query(self):
-        golden = load_golden()
-        assert sorted(golden) == sorted(STORES)
-        for fixture in STORES:
-            assert sorted(golden[fixture]) == sorted(QUERIES)
-
-    def test_golden_pins_trajectories(self):
-        # A pin of an empty tuple would not pin the group-by at all.
-        for fixture in STORES:
-            assert load_golden()[fixture]["tuning"]["trajectories"]
-
-    @pytest.mark.parametrize("name", QUERIES)
-    @pytest.mark.parametrize("fixture", STORES)
-    def test_pinned(self, fixture, name, request):
-        store = request.getfixturevalue(fixture)
-        expected = load_golden()[fixture][name]
-        assert pin(name, run_query(store, name)) == expected
 
 
 # -- hand-built stores ---------------------------------------------------------
@@ -350,19 +244,3 @@ class TestAgainstLoopReference:
                 idx, weights=files[column].astype(np.float64), minlength=nbins
             )
             assert series.tobytes() == expected.tobytes()
-
-
-def _write_golden() -> None:  # pragma: no cover - maintenance entry point
-    from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
-    from tests.conftest import SEED, SMALL_SCALE
-
-    golden = {}
-    for fixture in STORES:
-        platform = fixture.split("_")[0]
-        gen = WorkloadGenerator(platform, GeneratorConfig(scale=SMALL_SCALE))
-        golden[fixture] = pin_store(gen.generate(SEED, shadows=True))
-    GOLDEN_PATH.write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _write_golden()

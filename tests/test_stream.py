@@ -443,5 +443,6 @@ class TestIngestCli:
         out = _run_cli(
             "ingest", "s.ndjson", "--store", "y.npz", cwd=tmp_path
         )
-        assert out.returncode != 0
-        assert "LogFormatError" in out.stderr
+        assert out.returncode == 1
+        assert out.stderr.startswith("ingest: stream line: invalid JSON")
+        assert "Traceback" not in out.stderr

@@ -8,10 +8,9 @@ that claim:
 * **Randomized append schedules** — single-row logs, large batches, and
   interleaved mixes, drawn from a seeded RNG — are streamed onto a live
   store whose context (and every memoized primitive and result) stays
-  warm. After *every* append, every analysis entry point is compared
-  against a cold store batch-built from the same log prefix, using the
-  same recursive bit-equality (`assert_equivalent`) that pins the
-  legacy-vs-context refactor.
+  warm. After *every* append, every registry query is compared against
+  a cold store batch-built from the same log prefix, using the
+  recursive bit-equality `assert_equivalent`.
 * **Table identity** — the streamed store's files/jobs arrays and
   catalogs equal the batch-built store's byte for byte at every prefix.
 * **Hypothesis properties** — fold associativity (any segmentation of
@@ -33,6 +32,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.context import foldable_merge
+from repro.api import run_query
 from repro.instrument.runtime import LogMaterializer
 from repro.obs.tracer import Tracer, set_tracer
 from repro.platforms import cori, summit
@@ -49,7 +49,7 @@ from repro.stream import (
     ingest_stream,
 )
 
-from tests.test_analysis_equivalence import CASES, assert_equivalent
+from tests.test_analysis_equivalence import assert_equivalent
 
 pytestmark = pytest.mark.stream
 
@@ -94,17 +94,17 @@ def _batch_store(logs, machine, src: RecordStore) -> RecordStore:
     )
 
 
-def _outcome(fn, store):
+def _outcome(store, name):
     """Result or raised-error type: errors must match across paths too."""
     try:
-        return fn(store)
+        return run_query(store, name)
     except Exception as exc:
         return ("raised", type(exc))
 
 
 def _assert_all_queries_equal(live: RecordStore, cold: RecordStore, where):
-    for name, fn, _legacy in CASES:
-        got, want = _outcome(fn, live), _outcome(fn, cold)
+    for name in sorted(default_registry()):
+        got, want = _outcome(live, name), _outcome(cold, name)
         if isinstance(want, tuple) and want and want[0] == "raised":
             assert got == want, f"{where}:{name}: {got!r} vs {want!r}"
         else:
@@ -161,7 +161,7 @@ def _schedule(rng, n):
 
 
 class TestRandomizedSchedules:
-    """Every entry point, after every append, against a cold rebuild."""
+    """Every registry query, after every append, against a cold rebuild."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_incremental_matches_cold_recompute(self, case, seed):

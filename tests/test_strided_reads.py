@@ -5,9 +5,9 @@ rows, so indexing ``store.files`` directly walks the whole table on
 every read. :meth:`AnalysisContext.column` copies each column once and
 every entry point reads it from there (DESIGN.md §6). This check keeps
 a new entry point from quietly going back to strided reads: only
-``context.py`` (which owns the copies) and ``legacy.py`` (the frozen
-seed oracle) may touch the table. The facility replay and the what-if
-transfer reconstruction are held to the same rule.
+``context.py``, which owns the copies, may touch the table. The
+facility replay and the what-if transfer reconstruction are held to the
+same rule.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
 GUARDED = sorted(
     path
     for path in (SRC / "analysis").glob("*.py")
-    if path.name not in ("context.py", "legacy.py")
+    if path.name != "context.py"
 ) + [
     SRC / "optimize" / "staging.py",
     SRC / "optimize" / "aggregation.py",
