@@ -23,7 +23,6 @@ Regenerate the golden file only for an intended change of results::
 from __future__ import annotations
 
 import dataclasses
-import enum
 import functools
 import hashlib
 import json
@@ -43,7 +42,7 @@ QUERIES = sorted(REGISTRY)
 
 def pin(value) -> object:
     """The JSON form a result is pinned in, recursively."""
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+    if dataclasses.is_dataclass(value):
         return {f.name: pin(getattr(value, f.name))
                 for f in dataclasses.fields(value)}
     if isinstance(value, dict):
@@ -61,15 +60,9 @@ def pin(value) -> object:
                 np.ascontiguousarray(value).tobytes()
             ).hexdigest(),
         }
-    if isinstance(value, enum.Enum):
-        return value.value
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        return float(value).hex()
-    if isinstance(value, str) or value is None:
+    if isinstance(value, float):  # numpy's float64 included
+        return float.hex(value)
+    if isinstance(value, (int, str)):  # bools and int or str enums included
         return value
     raise TypeError(f"no pinned form for {type(value).__name__}")
 
