@@ -14,7 +14,7 @@ check:
 test:
 	$(PYTEST) -x -q
 
-# Only the pool-spawning tests: ingest/what-if differentials (serial vs
+# Only the pool-spawning tests: what-if sweep differentials (serial vs
 # jobs=N equivalence) and the fabric units.
 parallel:
 	$(PYTEST) -x -q -m parallel

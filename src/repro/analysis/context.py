@@ -144,7 +144,7 @@ class AnalysisContext:
 
     # Locks and weak references are neither picklable nor
     # deep-copyable; stores (which may hold a memoized context) travel
-    # through both — ingest shards cross the pool pipe, and the
+    # through both — pickled stores cross process boundaries, and the
     # property-based aliasing checks copy stores. The state carries the
     # store itself (pickle's memo makes it the same object as the store
     # being restored), re-weakened on restore along with a new lock.

@@ -906,9 +906,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with _maybe_trace(getattr(args, "trace", None), args.command):
             return handlers[args.command](args)
-    except (ReproError, FileNotFoundError) as exc:
-        # A typed failure or a missing input is a message, not a
-        # traceback; the trace, if any, has already recorded the error.
+    except (ReproError, OSError) as exc:
+        # A typed failure, a missing input or an unreachable server is a
+        # message, not a traceback; the trace, if any, has already
+        # recorded the error.
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 1
 

@@ -37,20 +37,16 @@ class SimulationError(ReproError):
     """A storage-substrate simulator was driven into an invalid state.
 
     e.g. staging a file into a DataWarp allocation that was never created,
-    or writing past a node-local device's capacity.
+    or a Lustre stripe layout with a non-positive stripe size.
     """
-
-
-class SchedulerError(ReproError):
-    """The batch scheduler rejected a job or directive."""
 
 
 class ShardError(ReproError):
     """A worker of a sharded parallel pipeline failed.
 
-    Carries the failing shard's id so a facility-scale ingest or sweep
-    can report *which* slice of the work died (and, for ingest, which log
-    file inside it) instead of an anonymous pool traceback.
+    Carries the failing shard's id so a pooled what-if sweep can report
+    *which* slice of the work died instead of an anonymous pool
+    traceback.
     """
 
     def __init__(self, shard_id: int, message: str):

@@ -6,8 +6,6 @@ These model the behaviour of the systems underneath the measurements:
   servers (Alpine: 16 MiB blocks, round-robin from a random NSD, §2.1.1).
 * :mod:`repro.iosim.lustre` — Lustre striping (stripe size/count/offset),
   MDS namespace partitioning, OST placement (Cori Scratch, §2.1.2).
-* :mod:`repro.iosim.nodelocal` — node-local NVMe with job-exclusive
-  namespaces (Summit SCNL under Spectral/UnifyFS).
 * :mod:`repro.iosim.datawarp` — Cray DataWarp burst-buffer allocations
   with scheduler-driven stage-in/out directives (Cori CBB).
 * :mod:`repro.iosim.contention` — production-load contention model.
@@ -21,7 +19,6 @@ These model the behaviour of the systems underneath the measurements:
 
 from repro.iosim.gpfs import GpfsFilesystem, GpfsFileLayout
 from repro.iosim.lustre import LustreFilesystem, StripeLayout
-from repro.iosim.nodelocal import NodeLocalStore
 from repro.iosim.datawarp import DataWarpManager, StageDirective
 from repro.iosim.contention import ContentionModel
 from repro.iosim.perfmodel import PerfModel, TransferSpec
@@ -61,7 +58,6 @@ __all__ = [
     "GpfsFileLayout",
     "LustreFilesystem",
     "StripeLayout",
-    "NodeLocalStore",
     "DataWarpManager",
     "StageDirective",
     "ContentionModel",

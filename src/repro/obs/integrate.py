@@ -15,7 +15,7 @@ category        spans
 ``workloads``   ``workloads.generate``, with ``workloads.sample_jobs``,
                 ``workloads.assemble`` and ``workloads.shadows`` nested
                 in it
-``ingest``      ``ingest.paths``, ``ingest.shard``, ``ingest.logs``
+``ingest``      ``ingest.paths``, ``ingest.logs``
 ``store``       ``store.merge``
 ``parallel``    ``parallel.run`` plus adopted worker tracks (one export
                 track per shard thread)

@@ -228,7 +228,7 @@ def trace_span(name: str, cat: str = ""):
     module-level singleton whose ``__enter__`` returns ``None``).
     Attach attributes only under an ``if sp is not None:`` guard::
 
-        with trace_span("ingest.shard", "ingest") as sp:
+        with trace_span("ingest.logs", "ingest") as sp:
             ...
             if sp is not None:
                 sp.add(rows=len(files))

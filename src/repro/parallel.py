@@ -1,25 +1,19 @@
-"""Deterministic process-pool fan-out for the sharded pipelines.
+"""Deterministic process-pool fan-out for what-if sweeps.
 
-Two stages fan out: ingest of a year of serialized logs
-(:func:`repro.store.ingest.ingest_log_paths`) and what-if sweeps
-(:func:`repro.whatif.sweep`). At two workers on a 2-core host they ran
-1.90x and 1.50x faster than serial; sharded generation ran 1.08x and
-was removed (DESIGN.md §8). Both follow the same recipe: split the work into
-*shards* whose boundaries depend only on the input (never on worker
-count or scheduling), run each shard in a worker process, and reassemble
-the shard results **in shard order**. Shard boundaries are contiguous,
-cost-balanced slices of the unit list, so the concatenation of shard
-outputs equals the serial iteration order.
+One stage fans out: what-if sweeps (:func:`repro.whatif.sweep`), at
+0.72x of serial at two workers on a 2-core host (DESIGN.md §8). Each
+payload is one shard; a worker process runs it, and the shard results
+are reassembled **in shard order**, so the output never depends on
+worker count or scheduling.
 
-Shard results come back through the pool pipe as ordinary pickles; the
-caller reduces them (ingest merges its shard stores with
-:func:`repro.store.merge.merge_stores`). One pool per worker count is
-kept alive for the process (torn down at exit), so a run that fans out
-repeatedly — a session of what-if sweeps — pays pool startup once.
+Shard results come back through the pool pipe as ordinary pickles. One
+pool per worker count is kept alive for the process (torn down at
+exit), so a run that fans out repeatedly — a session of what-if
+sweeps — pays pool startup once.
 
 Worker failures are wrapped in :class:`repro.errors.ShardError` carrying
 the failing shard's id; one bad shard fails the whole run loudly rather
-than silently dropping a slice of the year.
+than silently dropping a slice of the work.
 
 When tracing is active (:mod:`repro.obs`), each pool worker runs its
 shard under a fresh tracer and ships the finished span records back
@@ -44,9 +38,6 @@ from repro.obs.tracer import get_tracer, trace_span
 
 T = TypeVar("T")
 
-#: Shards per worker: more shards than workers lets the pool rebalance a
-#: straggler, while contiguity keeps reassembly order-deterministic.
-SHARDS_PER_WORKER = 4
 
 def usable_cores() -> int:
     """Cores this process may actually run on.
@@ -73,45 +64,6 @@ def resolve_jobs(jobs: int | None) -> int:
     if jobs == 0:
         return usable_cores()
     return jobs
-
-
-def contiguous_shards(costs: Sequence[float], nshards: int) -> list[slice]:
-    """Split ``range(len(costs))`` into ≤ ``nshards`` contiguous slices.
-
-    Greedy sweep: close a shard once it has accumulated its fair share of
-    the remaining cost. Contiguity (never cost-optimal bin packing) is
-    deliberate — concatenating shard outputs in shard order must reproduce
-    the serial unit order exactly.
-    """
-    n = len(costs)
-    if n == 0:
-        return []
-    nshards = max(1, min(nshards, n))
-    total = float(sum(costs))
-    if total <= 0:
-        # Degenerate cost model: equal-count slices.
-        step = -(-n // nshards)
-        return [slice(i, min(i + step, n)) for i in range(0, n, step)]
-    out: list[slice] = []
-    start = 0
-    acc = 0.0
-    spent = 0.0
-    for i, c in enumerate(costs):
-        acc += float(c)
-        shards_left = nshards - len(out)
-        if shards_left <= 1:
-            break  # the last shard absorbs the tail
-        fair = (total - spent) / shards_left
-        # Close the shard at its fair share — unless every remaining unit
-        # is needed to fill the remaining shards one apiece.
-        if acc >= fair and (n - i - 1) >= (shards_left - 1):
-            out.append(slice(start, i + 1))
-            start = i + 1
-            spent += acc
-            acc = 0.0
-    if start < n:
-        out.append(slice(start, n))
-    return out
 
 
 # -- persistent pools --------------------------------------------------------

@@ -1,26 +1,14 @@
-"""Batch-job substrate: job specs, year-long arrival traces, scheduling.
+"""Batch-job substrate: year-long job arrival traces.
 
 The paper's dataset is *jobs* (281.6K on Summit, 749.5K on Cori) each
 producing 1..many Darshan logs (application instances). This subpackage
-provides the job-level machinery: specification (:mod:`job`), a year-long
-arrival process with diurnal/weekly structure (:mod:`trace`), and a
-capacity scheduler that assigns start times and honours burst-buffer
-directives (:mod:`batch`).
+provides the year-long arrival process with diurnal/weekly structure
+(:mod:`trace`) that places the generator's job submissions in time.
 """
 
-from repro.scheduler.job import BurstBufferRequest, JobSpec
 from repro.scheduler.trace import ArrivalProcess, TraceConfig
-from repro.scheduler.batch import BatchScheduler, ScheduledJob
-from repro.scheduler.bridge import jobs_from_store
-from repro.scheduler.backfill import EasyBackfillScheduler
 
 __all__ = [
-    "jobs_from_store",
-    "EasyBackfillScheduler",
-    "BurstBufferRequest",
-    "JobSpec",
     "ArrivalProcess",
     "TraceConfig",
-    "BatchScheduler",
-    "ScheduledJob",
 ]

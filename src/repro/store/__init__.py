@@ -23,7 +23,6 @@ from repro.store.schema import (
 from repro.store.recordstore import RecordStore
 from repro.store.ingest import ingest_logs
 from repro.store.io import load_store, save_store
-from repro.store.export import export_month
 
 __all__ = [
     "FILE_DTYPE",
@@ -37,5 +36,4 @@ __all__ = [
     "ingest_logs",
     "load_store",
     "save_store",
-    "export_month",
 ]

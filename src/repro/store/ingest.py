@@ -16,11 +16,9 @@ are slices of those at indices fixed per module by the counter
 registries (:data:`_COLUMNS`). Only mount resolution and the extension
 code look at records one at a time.
 
-:func:`ingest_log_paths` is the file-level entry point; with ``jobs > 1``
-it shards the path list contiguously over a process pool, each worker
-ingesting a shard-local store, and merges them with stable log-id and
-extension-catalog remapping (:mod:`repro.store.merge`) — the result is
-row-identical to a serial ingest of the same paths.
+:func:`ingest_log_paths` is the file-level entry point: it reads each
+serialized log in path order and ingests them through
+:func:`ingest_logs`, naming the file when one fails to parse.
 """
 
 from __future__ import annotations
@@ -213,18 +211,6 @@ def _read_one(path: str) -> DarshanLog:
         raise LogFormatError(f"{path}: {exc}") from exc
 
 
-def _ingest_shard(payload) -> RecordStore:
-    """Pool worker: ingest one contiguous shard of log paths."""
-    paths, platform, mounts, domains, extensions, scale = payload
-    with trace_span("ingest.shard", "ingest") as sp:
-        if sp is not None:
-            sp.add(paths=len(paths))
-        return ingest_logs(
-            (_read_one(p) for p in paths), platform, mounts,
-            domains=domains, extensions=extensions, scale=scale,
-        )
-
-
 def ingest_log_paths(
     paths: Iterable[str],
     platform: str,
@@ -233,46 +219,18 @@ def ingest_log_paths(
     domains: Sequence[str] = (),
     extensions: Sequence[str] = (),
     scale: float = 1.0,
-    jobs: int | None = None,
 ) -> RecordStore:
-    """Ingest serialized logs from disk, optionally sharded over a pool.
+    """Ingest serialized logs from disk, in path order.
 
-    Shards are contiguous, file-size-balanced slices of the path list, so
-    the merged store is row-identical to a serial ingest in path order
-    (same log-id enumeration, same first-seen extension catalog). A
-    corrupt log fails the whole ingest with a
-    :class:`repro.errors.ShardError` naming the shard and the file.
+    Equal to :func:`ingest_logs` over the parsed logs. A corrupt log
+    fails the whole ingest with a :class:`repro.errors.LogFormatError`
+    naming the file.
     """
-    import os
-
-    from repro.parallel import (
-        SHARDS_PER_WORKER,
-        contiguous_shards,
-        resolve_jobs,
-        run_sharded,
-    )
-    from repro.store.merge import merge_stores
-
-    paths = [os.fspath(p) for p in paths]
-    njobs = resolve_jobs(jobs)
+    paths = list(paths)
     with trace_span("ingest.paths", "ingest") as sp:
         if sp is not None:
-            sp.add(paths=len(paths), jobs=njobs)
-        if njobs <= 1 or len(paths) <= 1:
-            return ingest_logs(
-                (_read_one(p) for p in paths), platform, mounts,
-                domains=domains, extensions=extensions, scale=scale,
-            )
-        costs = [
-            max(os.path.getsize(p), 1) if os.path.exists(p) else 1 for p in paths
-        ]
-        slices = contiguous_shards(costs, njobs * SHARDS_PER_WORKER)
-        payloads = [
-            (paths[sl], platform, mounts, tuple(domains), tuple(extensions), scale)
-            for sl in slices
-        ]
-        # Shard stores return as plain pickles: a shared-memory hand-off
-        # measured no faster (DESIGN.md §12).
-        shards = run_sharded(_ingest_shard, payloads, jobs=njobs)
-        return merge_stores(shards, remap_log_ids=True)
-
+            sp.add(paths=len(paths))
+        return ingest_logs(
+            (_read_one(p) for p in paths), platform, mounts,
+            domains=domains, extensions=extensions, scale=scale,
+        )

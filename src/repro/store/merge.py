@@ -1,21 +1,20 @@
 """Merging shard-local RecordStores into one global store.
 
-Sharded ingest builds one :class:`RecordStore` per shard, each with its
-own extension catalog and its own dense ``log_id`` space; federation
-merges member stores the same way. This module reassembles them
-deterministically:
+Federation merges member stores, each a :class:`RecordStore` with its
+own extension catalog and its own dense ``log_id`` space (a "shard"
+below). This module reassembles them deterministically:
 
 * **Catalog union** — domain and extension catalogs are unioned in
   first-seen order across shards (shard order, then catalog order), and
-  every code column is remapped through a small lookup table. Because the
-  pipelines shard *contiguously*, first-seen order equals the order a
-  serial pass over the same inputs would have produced.
+  every code column is remapped through a small lookup table. When the
+  shards are contiguous slices of one input, first-seen order equals the
+  order a serial pass over the same inputs would have produced.
 * **Log-id remap** (``remap_log_ids=True``) — shard ``s``'s log-id space
   is shifted up by the combined width of all earlier shards' spaces (a
   per-shard bijection, collision-free across shards). Ingest numbers a
-  shard's logs ``0..n-1`` in path order, so the offsets reproduce the
-  global serial enumeration exactly — including id gaps left by logs
-  that contributed no file rows.
+  store's logs ``0..n-1`` in input order, so for contiguous slices the
+  offsets reproduce the global serial enumeration exactly — including
+  id gaps left by logs that contributed no file rows.
 * **Job rows** — the same physical job may appear in several shards (its
   logs split across shards). Duplicate job ids are merged: static
   attributes must agree, ``used_bb`` is OR-ed, and ``nlogs`` is summed
@@ -78,7 +77,7 @@ def _is_identity(lut: np.ndarray) -> bool:
 def _remap_log_ids(files: np.ndarray, jobs: np.ndarray, base: int) -> int:
     """Shift this shard's log-id space up by ``base``; return its width.
 
-    Shard-local ingest numbers logs ``0..n-1`` in path order (empty logs
+    Ingest numbers a store's logs ``0..n-1`` in path order (empty logs
     included, via the job table's ``nlogs``), so an offset — not a dense
     re-rank — reproduces the serial enumeration, preserving the id gaps
     of logs that contributed no file rows.

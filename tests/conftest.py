@@ -11,6 +11,7 @@ import pytest
 
 from repro.core import CharacterizationStudy, StudyConfig
 from repro.platforms import cori, summit
+from repro.store.merge import canonicalize
 from repro.store.recordstore import RecordStore
 from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 
@@ -37,6 +38,17 @@ def fresh_store(store: RecordStore) -> RecordStore:
         domains=store.domains, extensions=store.extensions,
         scale=store.scale, schema_version=store.schema_version,
     )
+
+
+def assert_stores_identical(a, b, where="store"):
+    """Byte-identical stores in canonical row order."""
+    ca, cb = canonicalize(a), canonicalize(b)
+    assert ca.platform == cb.platform, where
+    assert ca.scale == cb.scale, where
+    assert ca.domains == cb.domains, f"{where}: domain catalogs differ"
+    assert ca.extensions == cb.extensions, f"{where}: extension catalogs differ"
+    np.testing.assert_array_equal(ca.files, cb.files, err_msg=f"{where}.files")
+    np.testing.assert_array_equal(ca.jobs, cb.jobs, err_msg=f"{where}.jobs")
 
 
 @pytest.fixture(scope="session")

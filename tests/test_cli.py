@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import socket
+
 import pytest
 
 from repro.cli import main
@@ -49,9 +51,20 @@ class TestGenerateAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("analyze: ") and missing in err
 
+    def test_query_closed_port(self, capsys):
+        """An unreachable server is a one-line error, not a traceback."""
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            port = sock.getsockname()[1]
+        # Nothing listens on the port once the probe socket is closed.
+        assert main(["query", "table3", "--port", str(port)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("query: ")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["generate", "study", "shapes"])
     def test_generation_takes_no_jobs_flag(self, command, tmp_path, capsys):
-        """Generation runs serially; only ingest and what-if fan out."""
+        """Generation runs serially; only what-if fans out."""
         argv = [command, "--scale", "5e-5", "--jobs", "2"]
         if command == "generate":
             argv += ["--out", str(tmp_path / "s.npz")]

@@ -1,12 +1,13 @@
-"""Process-pool fabric tests: arenas, tracker ownership, fan-out, planners.
+"""Process-pool fabric tests: arenas, tracker ownership, fan-out, job counts.
 
 Three enforceable edges: (1) every sweep arena is unlinked when its
 owner closes it, even with the mapping pinned, and no pool worker's
 mapping takes unlink ownership — a pooled sweep must exit without a
 ``resource_tracker`` complaint; (2) ``run_sharded`` returns shard
-results in shard order and names a failing shard; (3) the planner
-helpers behind the fan-out keep their determinism-bearing edge cases. ``/dev/shm`` is inspected directly where the platform has one,
-so a leak cannot hide behind the module's own bookkeeping.
+results in shard order and names a failing shard; (3) ``--jobs``
+values resolve to a worker count, and 0 to the usable cores.
+``/dev/shm`` is inspected directly where the platform has one, so a
+leak cannot hide behind the module's own bookkeeping.
 """
 
 from __future__ import annotations
@@ -21,12 +22,7 @@ import pytest
 
 from repro import fabric
 from repro.errors import ConfigurationError, ShardError
-from repro.parallel import (
-    contiguous_shards,
-    resolve_jobs,
-    run_sharded,
-    usable_cores,
-)
+from repro.parallel import resolve_jobs, run_sharded, usable_cores
 from repro.store.recordstore import RecordStore
 from repro.store.schema import empty_files, empty_jobs
 
@@ -175,26 +171,3 @@ class TestResolveJobs:
             resolve_jobs(True)
         with pytest.raises(ConfigurationError):
             resolve_jobs(2.0)
-
-
-class TestContiguousShards:
-    def test_all_zero_costs_split_by_count(self):
-        slices = contiguous_shards([0, 0, 0, 0, 0, 0], 3)
-        assert [s.start for s in slices] == [0, 2, 4]
-        assert [s.stop for s in slices] == [2, 4, 6]
-
-    def test_more_shards_than_units(self):
-        slices = contiguous_shards([5.0, 1.0], 8)
-        assert len(slices) == 2
-        assert slices == [slice(0, 1), slice(1, 2)]
-
-    def test_single_giant_unit_absorbs_its_shard(self):
-        slices = contiguous_shards([1, 1, 1000, 1, 1], 3)
-        # Contiguity forces neighbors into the giant unit's shard; every
-        # unit is covered exactly once, in order.
-        assert slices[0].start == 0 and slices[-1].stop == 5
-        covered = [i for s in slices for i in range(s.start, s.stop)]
-        assert covered == list(range(5))
-
-    def test_empty_costs(self):
-        assert contiguous_shards([], 4) == []

@@ -274,7 +274,7 @@ class TestSeededCorruptionHarness:
 
 
 class TestCorruptShardIngest:
-    """A corrupt log fails the whole sharded ingest, naming the shard."""
+    """A corrupt log fails the whole path ingest, naming the file."""
 
     @pytest.fixture()
     def log_dir(self, tmp_path):
@@ -297,25 +297,6 @@ class TestCorruptShardIngest:
         self._corrupt(log_dir[5])
         with pytest.raises(LogFormatError, match="log5"):
             ingest_log_paths(log_dir, "summit", summit_machine.mount_table())
-
-    def test_sharded_ingest_names_shard_and_file(self, log_dir, summit_machine):
-        from repro.errors import ShardError
-        from repro.store.ingest import ingest_log_paths
-
-        self._corrupt(log_dir[5])
-        with pytest.raises(ShardError, match=r"shard \d+.*log5") as err:
-            ingest_log_paths(
-                log_dir, "summit", summit_machine.mount_table(), jobs=2
-            )
-        assert err.value.shard_id >= 0
-
-    def test_clean_shards_still_ingest(self, log_dir, summit_machine):
-        from repro.store.ingest import ingest_log_paths
-
-        store = ingest_log_paths(
-            log_dir, "summit", summit_machine.mount_table(), jobs=2
-        )
-        assert store.njobs == 8
 
 
 class TestStreamTailFuzz:

@@ -1,7 +1,7 @@
 """LogMaterializer round trip: store rows -> DarshanLog -> disk -> store.
 
-`repro.store.export` leans entirely on LogMaterializer, which had no
-dedicated tests: these pin the contract that a materialized log, written
+The log forensics example and the benchmark's log fixtures lean on
+LogMaterializer: these pin the contract that a materialized log, written
 with ``write_log`` and re-ingested, preserves each log's byte totals
 (§3.1 unique accounting) and its module presence.
 """

@@ -1,109 +1,15 @@
-"""Tests for the batch scheduler substrate."""
+"""Tests for the year-long job arrival process."""
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError, SchedulerError
-from repro.iosim.datawarp import DataWarpManager
-from repro.scheduler.batch import BatchScheduler, utilization
-from repro.scheduler.job import BurstBufferRequest, JobSpec
+from repro.errors import ConfigurationError
 from repro.scheduler.trace import (
     SECONDS_PER_DAY,
     SECONDS_PER_YEAR,
     ArrivalProcess,
     TraceConfig,
 )
-from repro.units import GB
-
-
-def job(job_id, nnodes=1, runtime=100.0, submit=0.0, bb=None, nprocs=None):
-    return JobSpec(
-        job_id=job_id, user_id=1, project="p", domain="physics",
-        nnodes=nnodes, nprocs=nprocs or nnodes * 4,
-        runtime=runtime, submit_time=submit, bb_request=bb,
-    )
-
-
-class TestJobSpec:
-    def test_node_hours(self):
-        j = job(1, nnodes=10, runtime=7200)
-        assert j.node_hours == 20.0
-
-    def test_large_job_predicate(self):
-        assert not job(1, nprocs=1024).is_large
-        assert job(2, nprocs=1025).is_large
-
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            job(1, nnodes=0)
-        with pytest.raises(ConfigurationError):
-            job(1, runtime=0)
-        with pytest.raises(ConfigurationError):
-            JobSpec(1, 1, "p", "d", 1, 1, 10.0, -5.0)
-
-    def test_bb_request_validation(self):
-        with pytest.raises(ConfigurationError):
-            BurstBufferRequest(0)
-
-
-class TestBatchScheduler:
-    def test_immediate_start_when_free(self):
-        sched = BatchScheduler(total_nodes=100)
-        out = sched.schedule([job(1, nnodes=10, submit=5.0)])
-        assert out[0].start_time == 5.0
-        assert out[0].end_time == 105.0
-        assert out[0].wait_time == 0.0
-
-    def test_queueing_when_full(self):
-        sched = BatchScheduler(total_nodes=10)
-        out = sched.schedule(
-            [job(1, nnodes=10, runtime=100, submit=0.0),
-             job(2, nnodes=10, runtime=50, submit=1.0)]
-        )
-        assert out[1].start_time == 100.0
-        assert out[1].wait_time == 99.0
-
-    def test_parallel_when_capacity_allows(self):
-        sched = BatchScheduler(total_nodes=20)
-        out = sched.schedule(
-            [job(1, nnodes=10, submit=0.0), job(2, nnodes=10, submit=1.0)]
-        )
-        assert out[1].start_time == 1.0
-        assert out[1].concurrent_jobs == 1
-
-    def test_too_wide_rejected(self):
-        sched = BatchScheduler(total_nodes=10)
-        with pytest.raises(SchedulerError):
-            sched.schedule([job(1, nnodes=11)])
-
-    def test_fcfs_order(self):
-        sched = BatchScheduler(total_nodes=10)
-        jobs = [job(i, nnodes=10, runtime=10, submit=float(i)) for i in range(5)]
-        out = sched.schedule(jobs)
-        starts = [s.start_time for s in out]
-        assert starts == sorted(starts)
-
-    def test_datawarp_lifecycle(self):
-        dw = DataWarpManager(pool_bytes=100 * GB, bb_node_count=4)
-        sched = BatchScheduler(total_nodes=10, datawarp=dw)
-        bb = BurstBufferRequest(
-            capacity_bytes=40 * GB,
-            stage_in=(("/pfs/in", "/bb/in", 1 * GB),),
-        )
-        sched.schedule([job(1, nnodes=2, bb=bb)])
-        # Allocation released after the schedule drain.
-        assert dw.active_jobs() == []
-        assert dw.free_bytes() == 100 * GB
-
-    def test_utilization(self):
-        sched = BatchScheduler(total_nodes=10)
-        out = sched.schedule([job(1, nnodes=5, runtime=100, submit=0.0)])
-        u = utilization(out, total_nodes=10, horizon=100.0)
-        assert u == pytest.approx(0.5)
-
-    def test_utilization_bad_horizon(self):
-        with pytest.raises(SchedulerError):
-            utilization([], 10, 0)
 
 
 class TestArrivalProcess:

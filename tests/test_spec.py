@@ -30,8 +30,7 @@ from repro.spec import (
 )
 from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
 from repro.workloads.mixes import summit_mix
-from tests.conftest import SEED, SMALL_SCALE
-from tests.test_parallel_equivalence import assert_stores_identical
+from tests.conftest import SEED, SMALL_SCALE, assert_stores_identical
 
 
 def minimal_spec(**overrides) -> dict:
