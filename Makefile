@@ -3,7 +3,7 @@
 # -p no:randomly is a no-op unless pytest-randomly happens to be installed.
 PYTEST = PYTHONHASHSEED=0 PYTHONPATH=src python -m pytest -p no:randomly
 
-.PHONY: check test parallel stress
+.PHONY: check test parallel stress bench-pairs
 
 # Fast development loop: everything except the multi-million-row stress
 # guards and the (pool-spawning, slow on few cores) differential suite.
@@ -23,3 +23,15 @@ parallel:
 # across many appends; takes minutes).
 stress:
 	$(PYTEST) -q -m stress
+
+# Alternating perfbench pairs from two checkouts, e.g.
+#   make bench-pairs A=../base B=. PAIRS=5 WORKLOADS=fleet_whatif
+# prints each end-to-end metric's median, quartiles and B's win count.
+# Two checkouts of one commit give the A/A noise floor.
+PAIRS ?= 5
+WORKLOADS ?= cold_report,serve_live,fleet_whatif
+BENCH_SEED ?= 7
+BENCH_SECONDS ?= 30
+bench-pairs:
+	python3 tools/bench_pairs.py $(A) $(B) --pairs $(PAIRS) --workloads $(WORKLOADS) \
+		--seed $(BENCH_SEED) --seconds $(BENCH_SECONDS)

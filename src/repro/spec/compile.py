@@ -25,6 +25,7 @@ uses, hence a byte-identical store.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cache
 from typing import Any, Callable, Mapping
 
 from repro.errors import SpecError
@@ -82,8 +83,14 @@ class Pattern:
         }
 
 
-def _platform_mix(platform: str) -> list[tuple[float, ArchetypeSpec]]:
-    return summit_mix() if platform == "summit" else cori_mix()
+@cache
+def _platform_mix(platform: str) -> tuple[tuple[float, ArchetypeSpec], ...]:
+    """The platform's calibrated mix, built once per process.
+
+    Archetypes are frozen, and a tuple keeps a caller from changing the
+    mix the next compile reads; builders copy it into their own list.
+    """
+    return tuple(summit_mix() if platform == "summit" else cori_mix())
 
 
 # ---------------------------------------------------------------------------

@@ -40,12 +40,22 @@ machine enters only as the layer peaks each point divides the series
 by. A plan that relocates no rows leaves bytes, layers and job windows
 alone, so its outcome reuses the baseline's demand series as well.
 
+The base half of the re-timing ratio is memoized the same way: per
+origin layer, the rows ordered by interface and each row's ``bw_base``
+for read and write (24 bytes a row), keyed on the plan's base machine
+and perf model, which every built-in scenario shares. A point computes
+only ``bw_scenario``, and not even that for a group whose mechanism it
+leaves alone (same layer, same layer model, parallelism factor 1, equal
+deterministic perf models): there ``bw_base / bw_scenario`` is exactly
+1.0, so the group's times are only multiplied by the contention ratio.
+
 ``compute_point``, a serial :func:`sweep` and the pool worker share one
 point function. A pooled sweep hands each worker the file table without
 crossing the pool pipe (an ``mmap`` of the store's raw layout, or one
 shared-memory :class:`~repro.fabric.Arena` copy) together with the
 parent's memoized baseline; each point is computed wholly inside one
-worker and only the small :class:`WhatIfReport` comes back. Point
+worker, which recomputes the base half of the re-timing for its point,
+and only the small :class:`WhatIfReport` comes back. Point
 independence plus the deterministic math make results
 worker-count-invariant byte for byte.
 """
@@ -107,6 +117,89 @@ def _contention_ratio(plan: ScenarioPlan, base_kind: str, scn_kind: str) -> floa
 RETIMED = ("read_time", "write_time", "meta_time", "layer")
 
 
+@dataclass(frozen=True)
+class _BaseHalf:
+    """One origin layer's plan-independent half of the re-timing."""
+
+    #: The layer's row indices, stably sorted by interface.
+    order: np.ndarray
+    #: ``(interface code, start, stop)`` of each interface's run of ``order``.
+    runs: tuple[tuple[int, int, int], ...]
+    #: Direction -> the deterministic base bandwidth of each row of ``order``.
+    bw: Mapping[str, np.ndarray]
+
+
+def _gather(store: RecordStore, idx: np.ndarray):
+    """The spec fields, node counts and transfer sizes at rows ``idx``."""
+    ctx = store.analysis()
+    nnodes = ctx.cached(
+        ("whatif.nnodes",), lambda: nnodes_by_row(ctx.column("job_id"), store.jobs)
+    )
+    rows = {name: ctx.column(name)[idx] for name in SPEC_FIELDS}
+    return rows, nnodes[idx], ctx.transfer_sizes()[idx].astype(np.float64)
+
+
+def _base_half(store: RecordStore, plan: ScenarioPlan, oc: int,
+               pair_key: str) -> _BaseHalf:
+    """Layer ``oc``'s base bandwidths, memoized per store generation.
+
+    They depend on the store and the plan's base (machine, perf model)
+    pair alone, and every built-in scenario shares the platform's base
+    pair, so each point computes only its scenario half. ``pair_key``
+    puts the base pair in the key; an append drops the entry with the
+    rest of the context's memo.
+    """
+    ctx = store.analysis()
+
+    def compute() -> _BaseHalf:
+        oidx = np.flatnonzero(ctx.mask(("layer", oc)))
+        order = oidx[np.argsort(ctx.column("interface")[oidx], kind="stable")]
+        counts = np.bincount(ctx.column("interface")[order])
+        stops = np.cumsum(counts)
+        runs = tuple(
+            (int(code), int(stops[code] - counts[code]), int(stops[code]))
+            for code in np.flatnonzero(counts)
+        )
+        layer = plan.base_machine.layers[LAYER_NAMES[oc]]
+        bw = {"read": np.empty(len(order)), "write": np.empty(len(order))}
+        for code, lo, hi in runs:
+            interface = IOInterface(code)
+            # Every step below is elementwise, so a fixed-size block of
+            # rows at a time gives the same values with bounded temporaries.
+            for start in range(lo, hi, _CHUNK):
+                stop = min(start + _CHUNK, hi)
+                rows, rn, gsizes = _gather(store, order[start:stop])
+                par = layout_parallelism(store.platform, oc, plan.base_machine,
+                                         gsizes, rn)
+                for direction, values in bw.items():
+                    values[start:stop] = plan.base_perf.sample_bandwidth(
+                        layer, interface, direction,
+                        build_spec(rows, rn, par, direction), _NULL_RNG,
+                    )
+        return _BaseHalf(order, runs, bw)
+
+    return ctx.cached(("whatif.base_half", oc, pair_key), compute)
+
+
+def _same_mechanism(plan: ScenarioPlan, oc: int, nc: int, factor: float) -> bool:
+    """True when a row staying on layer ``oc`` meets the same model.
+
+    Then the scenario half equals the base half: the same spec through
+    the same deterministic model, floored at ``min_bandwidth > 0``, so
+    ``bw_base / bw_scn`` is exactly 1.0 for every row. A deterministic
+    model never reads its contention map.
+    """
+    key = LAYER_NAMES[oc]
+    return (
+        oc == nc
+        and factor == 1.0
+        and plan.machine.layers[key] == plan.base_machine.layers[key]
+        and plan.base_perf.deterministic
+        and plan.perf.deterministic
+        and replace(plan.base_perf, contention={}) == replace(plan.perf, contention={})
+    )
+
+
 def retime_columns(
     store: RecordStore, plan: ScenarioPlan
 ) -> tuple[dict[str, np.ndarray], int]:
@@ -133,13 +226,16 @@ def retime_columns(
     # Rows group by (origin layer, destination layer): origin drives the
     # baseline mechanism value, destination the scenario's. Rows on the
     # "other" layer carry no layer model and keep their times.
+    # Machines and perf models hold dicts, so they cannot key the memo
+    # themselves; their dataclass repr spells every field, floats exactly.
+    pair_key = repr((plan.base_machine, plan.base_perf))
     for oc in (LAYER_PFS, LAYER_INSYSTEM):
-        oidx = ctx.idx(("layer", oc))
-        dest = out["layer"][oidx]
+        half = _base_half(store, plan, oc, pair_key)
+        dest = out["layer"][half.order]
         for nc in (LAYER_PFS, LAYER_INSYSTEM):
-            gidx = oidx[dest == nc]
-            if len(gidx):
-                _retime_group(store, plan, oc, nc, gidx, out)
+            pos = np.flatnonzero(dest == nc)
+            if len(pos):
+                _retime_group(store, plan, oc, nc, half, pos, out)
     return out, moved
 
 
@@ -148,53 +244,46 @@ def _retime_group(
     plan: ScenarioPlan,
     oc: int,
     nc: int,
-    gidx: np.ndarray,
+    half: _BaseHalf,
+    pos: np.ndarray,
     out: dict[str, np.ndarray],
 ) -> None:
-    """Re-time the rows ``gidx`` moving from layer ``oc`` to ``nc``."""
-    ctx = store.analysis()
-    col = ctx.column
-    nnodes = ctx.cached(
-        ("whatif.nnodes",), lambda: nnodes_by_row(col("job_id"), store.jobs)
-    )
-    sizes = ctx.transfer_sizes()
-    fields = {name: col(name) for name in SPEC_FIELDS}
+    """Re-time the rows ``half.order[pos]`` moving from layer ``oc`` to ``nc``."""
+    col = store.analysis().column
     base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
     scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
     cratio = _contention_ratio(plan, base_layer.kind.value, scn_layer.kind.value)
     factor = plan.parallelism_factor(LAYER_NAMES[nc])
+    # Metadata follows the destination layer's latency floor; a ratio of
+    # 1.0 would multiply every time by 1.0, a bitwise no-op.
     meta_ratio = scn_layer.base_latency / base_layer.base_latency
-    gi = col("interface")[gidx]
-    for code in np.flatnonzero(np.bincount(gi)):
-        interface = IOInterface(int(code))
-        iidx = gidx[gi == code]
-        # Every step below is elementwise, so a fixed-size block of rows
-        # at a time gives the same values with bounded temporaries.
-        for lo in range(0, len(iidx), _CHUNK):
-            idx = iidx[lo:lo + _CHUNK]
-            rows = {name: values[idx] for name, values in fields.items()}
-            rn = nnodes[idx]
-            gsizes = sizes[idx].astype(np.float64)
-            base_par = layout_parallelism(store.platform, oc,
-                                          plan.base_machine, gsizes, rn)
+    gidx = half.order[pos]
+    if meta_ratio != 1.0:
+        out["meta_time"][gidx] = col("meta_time")[gidx] * meta_ratio
+    if _same_mechanism(plan, oc, nc, factor):
+        # time x 1.0 x cratio is time x cratio, and a copy when it is 1.0.
+        if cratio != 1.0:
+            for time_col in ("read_time", "write_time"):
+                out[time_col][gidx] = col(time_col)[gidx] * cratio
+        return
+    for code, lo, hi in half.runs:
+        interface = IOInterface(code)
+        first, last = np.searchsorted(pos, (lo, hi))
+        for start in range(first, last, _CHUNK):
+            p = pos[start:min(start + _CHUNK, last)]
+            idx = half.order[p]
+            rows, rn, gsizes = _gather(store, idx)
             scn_par = layout_parallelism(store.platform, nc, plan.machine,
                                          gsizes, rn, factor=factor)
-            for direction, time_col in (
-                ("read", "read_time"), ("write", "write_time")
-            ):
-                spec = build_spec(rows, rn, base_par, direction)
-                bw_base = plan.base_perf.sample_bandwidth(
-                    base_layer, interface, direction, spec, _NULL_RNG
-                )
+            for direction, bw_base in half.bw.items():
                 bw_scn = plan.perf.sample_bandwidth(
                     scn_layer, interface, direction,
-                    replace(spec, file_parallelism=scn_par), _NULL_RNG,
+                    build_spec(rows, rn, scn_par, direction), _NULL_RNG,
                 )
+                time_col = f"{direction}_time"
                 out[time_col][idx] = (
-                    col(time_col)[idx] * (bw_base / bw_scn) * cratio
+                    col(time_col)[idx] * (bw_base[p] / bw_scn) * cratio
                 )
-            # Metadata follows the destination layer's latency floor.
-            out["meta_time"][idx] = col("meta_time")[idx] * meta_ratio
 
 
 # -- metrics -----------------------------------------------------------------
@@ -442,10 +531,12 @@ def sweep(
 
     Returns one :class:`WhatIfReport` per point, in point order. The
     baseline is the store's memoized one, computed at most once (in the
-    parent) and shared by every point. Results are byte-identical for
-    every worker count: each point is computed wholly inside one worker
-    from the same shared rows, and the math is deterministic. For a
-    point's re-timed store, call :func:`materialize`.
+    parent) and shared by every point. A serial sweep also shares the
+    memoized base half of the re-timing, computed by its first point; a
+    pool worker recomputes it for each point it runs. Results are
+    byte-identical for every worker count: each point is computed wholly
+    inside one worker from the same shared rows, and the math is
+    deterministic. For a point's re-timed store, call :func:`materialize`.
     """
     from repro.parallel import resolve_jobs, run_sharded
 

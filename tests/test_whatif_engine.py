@@ -8,6 +8,11 @@
 - **baseline memo**: a store's baseline is computed once per store
   generation, so a second point on the same store reuses it and an
   append recomputes it;
+- **base-half memo**: each origin layer's base bandwidths are computed
+  once per store generation, and a point that computes only its
+  scenario half (skipping groups whose mechanism is unchanged) re-times
+  every row byte for byte as the loop that computed both halves for
+  every group;
 - **no per-point table copy**: a point allocates its four re-timed
   columns and bounded temporaries, not a copy of the 262-byte rows.
 """
@@ -15,6 +20,8 @@
 from __future__ import annotations
 
 import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,10 +35,24 @@ from repro.obs import Tracer, set_tracer
 from repro.platforms import summit
 from repro.platforms.interfaces import IOInterface
 from repro.store.recordstore import RecordStore
-from repro.store.schema import empty_files, empty_jobs
-from repro.whatif import compute_point, sweep
-from repro.whatif.transfers import nnodes_by_row
+from repro.store.schema import (
+    LAYER_INSYSTEM,
+    LAYER_NAMES,
+    LAYER_OTHER,
+    LAYER_PFS,
+    empty_files,
+    empty_jobs,
+)
+from repro.units import GB
+from repro.whatif import compute_point, engine, get_scenario, scenario_catalog, sweep
+from repro.whatif.transfers import (
+    SPEC_FIELDS,
+    build_spec,
+    layout_parallelism,
+    nnodes_by_row,
+)
 from tests.conftest import fresh_store
+from tests.test_whatif import NEUTRAL_POINTS
 
 _IFACES = [int(i) for i in IOInterface]
 
@@ -210,3 +231,192 @@ class TestPointAllocation:
         store = fresh_store(point_store)
         peak = _traced_peak(lambda: compute_point(store, "bb_offload"))
         assert peak < 1.0 * store.files.nbytes, peak / store.files.nbytes
+
+
+def _reference_retime(store: RecordStore, plan) -> tuple[dict, int]:
+    """The re-timing loop that computes both halves for every group.
+
+    Reads the store's own table, not its analysis context, so it shares
+    no memo with the path under test.
+    """
+    files = store.files
+    out = {name: files[name].copy() for name in engine.RETIMED}
+    moved = 0
+    if plan.relocate_min_bytes is not None:
+        move = (
+            (files["layer"] == LAYER_PFS)
+            & (files["bytes_read"] == 0)
+            & (files["bytes_written"] >= plan.relocate_min_bytes)
+        )
+        moved = int(move.sum())
+        out["layer"][move] = LAYER_INSYSTEM
+    nnodes = nnodes_by_row(files["job_id"], store.jobs)
+    sizes = (files["bytes_read"] + files["bytes_written"]).astype(np.float64)
+    fields = {name: files[name] for name in SPEC_FIELDS}
+    rng = np.random.default_rng(0)
+    for oc in (LAYER_PFS, LAYER_INSYSTEM):
+        oidx = np.flatnonzero(files["layer"] == oc)
+        dest = out["layer"][oidx]
+        for nc in (LAYER_PFS, LAYER_INSYSTEM):
+            gidx = oidx[dest == nc]
+            base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
+            scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
+            cratio = engine._contention_ratio(
+                plan, base_layer.kind.value, scn_layer.kind.value
+            )
+            factor = plan.parallelism_factor(LAYER_NAMES[nc])
+            gi = files["interface"][gidx]
+            for code in np.unique(gi):
+                interface = IOInterface(int(code))
+                idx = gidx[gi == code]
+                rows = {name: values[idx] for name, values in fields.items()}
+                rn = nnodes[idx]
+                base_par = layout_parallelism(
+                    store.platform, oc, plan.base_machine, sizes[idx], rn
+                )
+                scn_par = layout_parallelism(
+                    store.platform, nc, plan.machine, sizes[idx], rn,
+                    factor=factor,
+                )
+                for direction in ("read", "write"):
+                    spec = build_spec(rows, rn, base_par, direction)
+                    bw_base = plan.base_perf.sample_bandwidth(
+                        base_layer, interface, direction, spec, rng
+                    )
+                    bw_scn = plan.perf.sample_bandwidth(
+                        scn_layer, interface, direction,
+                        replace(spec, file_parallelism=scn_par), rng,
+                    )
+                    time_col = f"{direction}_time"
+                    out[time_col][idx] = (
+                        files[time_col][idx] * (bw_base / bw_scn) * cratio
+                    )
+            out["meta_time"][gidx] = files["meta_time"][gidx] * (
+                scn_layer.base_latency / base_layer.base_latency
+            )
+    return out, moved
+
+
+def _assert_retimed_equal(store, plan):
+    expected, expected_moved = _reference_retime(store, plan)
+    got, moved = engine.retime_columns(store, plan)
+    assert moved == expected_moved
+    for name in engine.RETIMED:
+        assert got[name].tobytes() == expected[name].tobytes(), name
+    return moved
+
+
+@st.composite
+def retime_stores(draw):
+    """A small store over PFS, in-system and other rows and every
+    interface, where one of the two modeled layers may be empty."""
+    platform = draw(st.sampled_from(["summit", "cori"]))
+    layers = draw(st.sampled_from([
+        (LAYER_PFS,), (LAYER_INSYSTEM,), (LAYER_PFS, LAYER_INSYSTEM),
+        (LAYER_PFS, LAYER_INSYSTEM, LAYER_OTHER),
+    ]))
+    n = draw(st.integers(0, 40))
+
+    def column(elements):
+        return draw(st.lists(elements, min_size=n, max_size=n))
+
+    files = empty_files(n)
+    files["job_id"] = column(st.integers(0, 5))
+    files["layer"] = column(st.sampled_from(layers))
+    files["interface"] = column(st.sampled_from(_IFACES))
+    files["rank"] = column(st.sampled_from([-1, 0, 3]))
+    files["nprocs"] = column(st.integers(1, 8192))
+    sizes = st.one_of(st.just(0), st.integers(1, 4 * GB), st.integers(0, 64 * GB))
+    files["bytes_read"] = column(sizes)
+    files["bytes_written"] = column(sizes)
+    files["reads"] = column(st.integers(0, 1 << 20))
+    files["writes"] = column(st.integers(0, 1 << 20))
+    times = st.floats(0.0, 1e5, allow_nan=False)
+    for name in ("read_time", "write_time", "meta_time"):
+        files[name] = column(times)
+    jobs = _jobs(range(5), draw(st.lists(st.integers(1, 4096), min_size=5, max_size=5)),
+                 0.0, 3600.0)
+    return RecordStore(platform, files, jobs)
+
+
+def _random_params(draw, scenario) -> dict:
+    params = {}
+    for spec in scenario.params:
+        if spec.name == "enabled":
+            params[spec.name] = draw(st.sampled_from([0, 1]))
+        elif spec.name == "min_gb":
+            params[spec.name] = draw(st.floats(0.0, 8.0))
+        else:
+            params[spec.name] = draw(st.floats(spec.minimum, spec.maximum))
+    return params
+
+
+class TestBaseHalfDifferential:
+    """The scenario-half path against the loop that computes both."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(retime_stores(), st.sampled_from(sorted(scenario_catalog())),
+           st.booleans(), st.sampled_from([3, 7, engine._CHUNK]), st.data())
+    def test_equals_both_halves_loop(self, store, name, neutral, chunk, data):
+        scenario = get_scenario(name)
+        params = (NEUTRAL_POINTS[name] if neutral
+                  else _random_params(data.draw, scenario))
+        plan = scenario.plan(store.platform, params)
+        with mock.patch.object(engine, "_CHUNK", chunk):
+            _assert_retimed_equal(store, plan)
+            # The second point reads the memoized base half.
+            _assert_retimed_equal(store, plan)
+
+    @pytest.mark.parametrize("name", sorted(scenario_catalog()))
+    def test_generated_stores_every_scenario(self, point_store, cori_store_small, name):
+        for source in (point_store, cori_store_small):
+            store = fresh_store(source)
+            for params in (None, NEUTRAL_POINTS[name]):
+                _assert_retimed_equal(store, get_scenario(name).plan(store.platform, params))
+
+    def test_bb_offload_moving_only_some_rows(self, point_store):
+        store = fresh_store(point_store)
+        files = store.files
+        eligible = int(np.sum(
+            (files["layer"] == LAYER_PFS) & (files["bytes_read"] == 0)
+            & (files["bytes_written"] > 0)
+        ))
+        plan = get_scenario("bb_offload").plan("summit", {"min_gb": 0.01})
+        moved = _assert_retimed_equal(store, plan)
+        assert 0 < moved < eligible
+
+
+class TestBaseHalfMemo:
+    def test_sweep_leaves_one_entry_per_origin_layer(self, point_store):
+        store = fresh_store(point_store)
+        ctx = store.analysis()
+        sweep(store, "stripe", [{"factor": 2.0}, {"factor": 4.0}])
+        assert ctx.cache_info()["whatif.base_half"] == 2
+        compute_point(store, "stripe", {"factor": 8.0})
+        hits, misses = ctx.cache_counts()
+        compute_point(store, "stripe", {"factor": 0.5})
+        # Every memo the point reads is warm, base halves included.
+        assert ctx.cache_counts()[1] == misses
+        assert ctx.cache_counts()[0] > hits
+        for name in scenario_catalog():
+            compute_point(store, name)
+        # Every built-in scenario shares the platform's base pair.
+        assert ctx.cache_info()["whatif.base_half"] == 2
+
+    def test_a_different_base_pair_misses(self, point_store):
+        store = fresh_store(point_store)
+        compute_point(store, "identity")
+        plan = get_scenario("identity").plan("summit")
+        plan = replace(plan, base_perf=replace(plan.base_perf, job_share_fraction=0.01))
+        _assert_retimed_equal(store, plan)
+        assert store.analysis().cache_info()["whatif.base_half"] == 4
+
+    def test_append_drops_the_base_halves(self, point_store):
+        store = fresh_store(point_store)
+        compute_point(store, "stripe")
+        assert store.analysis().cache_info()["whatif.base_half"] == 2
+        store.append(store.files[:64].copy())
+        assert "whatif.base_half" not in store.analysis().cache_info()
+        after = compute_point(store, "stripe")
+        assert store.analysis().cache_info()["whatif.base_half"] == 2
+        assert after == compute_point(fresh_store(store), "stripe")
