@@ -26,12 +26,14 @@ stress:
 
 # Alternating perfbench pairs from two checkouts, e.g.
 #   make bench-pairs A=../base B=. PAIRS=5 WORKLOADS=fleet_whatif
-# prints each end-to-end metric's median, quartiles and B's win count.
+# prints each end-to-end metric's median, quartiles and B's win count
+# (BENCH_TRACE=1: each per-layer metric of traced runs).
 # Two checkouts of one commit give the A/A noise floor.
 PAIRS ?= 5
 WORKLOADS ?= cold_report,serve_live,fleet_whatif
 BENCH_SEED ?= 7
 BENCH_SECONDS ?= 30
+BENCH_TRACE ?= 0
 bench-pairs:
 	python3 tools/bench_pairs.py $(A) $(B) --pairs $(PAIRS) --workloads $(WORKLOADS) \
-		--seed $(BENCH_SEED) --seconds $(BENCH_SECONDS)
+		--seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace $(BENCH_TRACE)

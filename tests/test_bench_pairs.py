@@ -31,16 +31,27 @@ def test_wins_follow_the_better_direction():
     assert not rows["ms"]["past_iqr"]
 
 
-def test_report_names_the_aa_mode():
+def test_report_names_the_aa_mode(tmp_path):
     a = [_run("abcdef1234", rate=1.0)]
-    text = report("fleet_whatif", a, [_run("abcdef1234", rate=1.0)],
-                  summarize(a, a, {"rate": "higher"}))
+    rows = summarize(a, a, {"rate": "higher"})
+    text = report("fleet_whatif", a, [_run("abcdef1234", rate=1.0)], rows,
+                  tmp_path / "x", tmp_path / "y")
     assert "(A/A)" in text and "usable_cores 2" in text
-    other = report("fleet_whatif", a, [_run("0123456789", rate=1.0)],
-                   summarize(a, a, {"rate": "higher"}))
+    other = report("fleet_whatif", a, [_run("0123456789", rate=1.0)], rows,
+                   tmp_path / "x", tmp_path / "y")
     assert "(A/A)" not in other
+    # Without a git SHA the directories tell the sides apart.
+    plain = [_run("unknown", rate=1.0)]
+    assert "(A/A)" in report("w", plain, plain, rows, tmp_path, tmp_path)
+    assert "(A/A)" not in report("w", plain, plain, rows, tmp_path / "x", tmp_path / "y")
 
 
 def test_rejects_a_directory_without_the_benchmark(tmp_path):
     with pytest.raises(SystemExit):
         main([str(tmp_path), str(tmp_path), "--pairs", "1"])
+
+
+def test_a_metric_that_reads_zero_everywhere_gets_no_row():
+    a, b = [_run("aaa", used=2.0, unused=0.0)], [_run("bbb", used=1.0, unused=0.0)]
+    rows = summarize(a, b, {"used": "lower", "unused": "lower"})
+    assert [r["metric"] for r in rows] == ["used"]

@@ -3,15 +3,16 @@
 Usage, from anywhere (``make bench-pairs A=... B=...`` wraps it)::
 
     python3 tools/bench_pairs.py BASE_DIR CHANGE_DIR --pairs 5 \\
-        --workloads fleet_whatif --seed 7 --seconds 30 [--json runs.json]
+        --workloads fleet_whatif --seed 7 --seconds 30 [--trace 1] [--json runs.json]
 
 Each pair runs every workload once from each checkout, one run at a
 time, as ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace 0`` with the checkout as the working directory. The order
+--trace X`` with the checkout as the working directory. The order
 alternates: even pairs run A first, odd pairs B first, so a drift over
 the session or a first-run effect lands on both sides alike.
 
-For each workload and end-to-end metric it prints A's and B's median and
+For each workload and end-to-end metric (per-layer metric with
+``--trace 1``) it prints A's and B's median and
 quartiles, the ratio of the medians, how many pairs B won (by the
 metric's ``better`` direction in B's ``BENCHMARK.json``), and whether
 the medians are further apart than A's quartile distance. Give the same
@@ -44,19 +45,20 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def better_directions(checkout: Path) -> dict[str, str]:
-    """End-to-end metric name -> ``"higher"`` or ``"lower"``."""
+def better_directions(checkout: Path, trace: int) -> dict[str, str]:
+    """Metric name -> ``"higher"`` or ``"lower"``: the end-to-end metrics,
+    or the per-layer ones for a traced run."""
     with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
         spec = json.load(fh)
-    return {m["name"]: m["better"] for m in spec["end_to_end"]}
+    return {m["name"]: m["better"] for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """One ``perfbench`` run: its metric values, checks and environment."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
         timeout=RUN_TIMEOUT_S,
     )
@@ -78,11 +80,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
 
 
 def summarize(a_runs: list[dict], b_runs: list[dict], better: dict[str, str]) -> list[dict]:
-    """One row per metric over the paired runs ``a_runs[i], b_runs[i]``."""
+    """One row per metric over the paired runs ``a_runs[i], b_runs[i]``.
+
+    A metric that reads 0 in every run (a layer the workload does not
+    use) gets no row.
+    """
     rows = []
     for name, direction in better.items():
         a = [r["metrics"][name] for r in a_runs]
         b = [r["metrics"][name] for r in b_runs]
+        if not any(a + b):
+            continue
         qa, qb = quartiles(a), quartiles(b)
         sign = 1.0 if direction == "higher" else -1.0
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
@@ -103,21 +111,28 @@ def _fmt(q: tuple[float, float, float]) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}, {q[2]:.4g}]"
 
 
-def report(workload: str, a_runs: list[dict], b_runs: list[dict], rows: list[dict]) -> str:
-    sha_a = a_runs[0]["environment"].get("git_sha", "unknown")
-    sha_b = b_runs[0]["environment"].get("git_sha", "unknown")
+def _label(run: dict, checkout: Path) -> str:
+    """A run's commit, or its directory when the checkout is no git repository."""
+    sha = run["environment"].get("git_sha", "unknown")
+    return sha[:10] if sha != "unknown" else str(checkout)
+
+
+def report(workload: str, a_runs: list[dict], b_runs: list[dict], rows: list[dict],
+           a_dir: Path, b_dir: Path) -> str:
+    label_a, label_b = _label(a_runs[0], a_dir), _label(b_runs[0], b_dir)
     cores = sorted({r["environment"].get("usable_cores") for r in a_runs + b_runs}, key=str)
-    mode = " (A/A)" if sha_a == sha_b and sha_a != "unknown" else ""
+    mode = " (A/A)" if label_a == label_b else ""
     failed = sum(r["failed"] for r in a_runs + b_runs)
+    width = max([len("metric")] + [len(row["metric"]) for row in rows]) + 2
     lines = [
-        f"{workload}: {len(a_runs)} pairs, A {sha_a[:10]} B {sha_b[:10]}{mode}, "
+        f"{workload}: {len(a_runs)} pairs, A {label_a} B {label_b}{mode}, "
         f"usable_cores {', '.join(map(str, cores))}, failed ops {failed}",
-        f"  {'metric':<18}{'better':<8}{'A median [q1, q3]':<30}{'B median [q1, q3]':<30}"
+        f"  {'metric':<{width}}{'better':<8}{'A median [q1, q3]':<36}{'B median [q1, q3]':<36}"
         f"{'B/A':>8}{'B wins':>9}  past IQR(A)",
     ]
     for row in rows:
         lines.append(
-            f"  {row['metric']:<18}{row['better']:<8}{_fmt(row['a']):<30}{_fmt(row['b']):<30}"
+            f"  {row['metric']:<{width}}{row['better']:<8}{_fmt(row['a']):<36}{_fmt(row['b']):<36}"
             f"{row['ratio']:>7.3f}x{row['wins']:>6}/{row['pairs']:<2}  "
             f"{'yes' if row['past_iqr'] else 'no'}"
         )
@@ -133,6 +148,8 @@ def main(argv=None) -> int:
                         help="comma-separated workload names")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1 compares the per-layer metrics of traced runs")
     parser.add_argument("--json", type=Path, help="also write every run's values here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -146,25 +163,27 @@ def main(argv=None) -> int:
     if unknown:
         parser.error(f"unknown workloads {unknown}; known: {', '.join(WORKLOADS)}")
 
-    better = better_directions(b_dir)
+    better = better_directions(b_dir, args.trace)
     runs = {w: {"a": [], "b": []} for w in workloads}
     for i in range(args.pairs):
         order = (("a", a_dir), ("b", b_dir)) if i % 2 == 0 else (("b", b_dir), ("a", a_dir))
         for workload in workloads:
             for side, checkout in order:
-                runs[workload][side].append(run_once(checkout, workload, args.seed, args.seconds))
+                runs[workload][side].append(
+                    run_once(checkout, workload, args.seed, args.seconds, args.trace))
                 print(f"pair {i + 1}/{args.pairs} {workload} {side.upper()} done",
                       file=sys.stderr, flush=True)
     out = {}
     for workload in workloads:
         a_runs, b_runs = runs[workload]["a"], runs[workload]["b"]
         rows = summarize(a_runs, b_runs, better)
-        print(report(workload, a_runs, b_runs, rows))
+        print(report(workload, a_runs, b_runs, rows, a_dir, b_dir))
         out[workload] = {"runs": runs[workload], "summary": rows}
     if args.json is not None:
         with open(args.json, "w", encoding="utf-8") as fh:
             json.dump({"a": str(a_dir), "b": str(b_dir), "pairs": args.pairs,
-                       "seed": args.seed, "seconds": args.seconds, "workloads": out}, fh, indent=1)
+                       "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
+                       "workloads": out}, fh, indent=1)
     return 0
 
 
