@@ -25,15 +25,14 @@ stress:
 	$(PYTEST) -q -m stress
 
 # Alternating perfbench pairs from two checkouts, e.g.
-#   make bench-pairs A=../base B=. PAIRS=5 WORKLOADS=fleet_whatif
-# prints each end-to-end metric's median, quartiles and B's win count
-# (BENCH_TRACE=1: each per-layer metric of traced runs).
+#   make bench-pairs A=../base B=. WORKLOADS=fleet_whatif
+# runs each workload and run length of B's BENCHMARK.json (WORKLOADS
+# picks some) and prints each end-to-end metric's median, quartiles and
+# B's win count (BENCH_TRACE=1: each per-layer metric of traced runs).
 # Two checkouts of one commit give the A/A noise floor.
-PAIRS ?= 5
-WORKLOADS ?= cold_report,serve_live,fleet_whatif
-BENCH_SEED ?= 7
-BENCH_SECONDS ?= 30
+PAIRS ?= 10
+WORKLOADS ?=
 BENCH_TRACE ?= 0
 bench-pairs:
-	python3 tools/bench_pairs.py $(A) $(B) --pairs $(PAIRS) --workloads $(WORKLOADS) \
-		--seed $(BENCH_SEED) --seconds $(BENCH_SECONDS) --trace $(BENCH_TRACE)
+	python3 tools/bench_pairs.py $(A) $(B) --pairs $(PAIRS) --workloads "$(WORKLOADS)" \
+		--trace $(BENCH_TRACE)

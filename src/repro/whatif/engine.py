@@ -257,14 +257,17 @@ def _retime_group(
     # Metadata follows the destination layer's latency floor; a ratio of
     # 1.0 would multiply every time by 1.0, a bitwise no-op.
     meta_ratio = scn_layer.base_latency / base_layer.base_latency
-    gidx = half.order[pos]
-    if meta_ratio != 1.0:
-        out["meta_time"][gidx] = col("meta_time")[gidx] * meta_ratio
-    if _same_mechanism(plan, oc, nc, factor):
-        # time x 1.0 x cratio is time x cratio, and a copy when it is 1.0.
-        if cratio != 1.0:
-            for time_col in ("read_time", "write_time"):
-                out[time_col][gidx] = col(time_col)[gidx] * cratio
+    same = _same_mechanism(plan, oc, nc, factor)
+    # time x 1.0 x cratio is time x cratio, and a copy when it is 1.0.
+    scaled = ("read_time", "write_time") if same and cratio != 1.0 else ()
+    if meta_ratio != 1.0 or scaled:
+        for start in range(0, len(pos), _CHUNK):
+            idx = half.order[pos[start:start + _CHUNK]]
+            if meta_ratio != 1.0:
+                out["meta_time"][idx] = col("meta_time")[idx] * meta_ratio
+            for time_col in scaled:
+                out[time_col][idx] = col(time_col)[idx] * cratio
+    if same:
         return
     for code, lo, hi in half.runs:
         interface = IOInterface(code)

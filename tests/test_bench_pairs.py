@@ -55,3 +55,13 @@ def test_a_metric_that_reads_zero_everywhere_gets_no_row():
     a, b = [_run("aaa", used=2.0, unused=0.0)], [_run("bbb", used=1.0, unused=0.0)]
     rows = summarize(a, b, {"used": "lower", "unused": "lower"})
     assert [r["metric"] for r in rows] == ["used"]
+
+
+def test_workloads_come_from_the_benchmark(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text("")
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"run_seconds": 30, "workloads": [{"name": "cold_report"}], '
+        '"end_to_end": [], "per_layer": []}')
+    with pytest.raises(SystemExit):
+        main([str(tmp_path), str(tmp_path), "--workloads", "fleet_whatif"])

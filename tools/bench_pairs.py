@@ -2,14 +2,16 @@
 
 Usage, from anywhere (``make bench-pairs A=... B=...`` wraps it)::
 
-    python3 tools/bench_pairs.py BASE_DIR CHANGE_DIR --pairs 5 \\
-        --workloads fleet_whatif --seed 7 --seconds 30 [--trace 1] [--json runs.json]
+    python3 tools/bench_pairs.py BASE_DIR CHANGE_DIR --pairs 10 \\
+        [--workloads fleet_whatif] [--trace 1]
 
 Each pair runs every workload once from each checkout, one run at a
-time, as ``python3 perfbench/run.py --workload W --seed S --seconds T
---trace X`` with the checkout as the working directory. The order
-alternates: even pairs run A first, odd pairs B first, so a drift over
-the session or a first-run effect lands on both sides alike.
+time, as ``python3 perfbench/run.py --workload W --seed 7 --seconds T
+--trace X`` with the checkout as the working directory. The workloads
+and ``T`` (``run_seconds``) come from B's ``BENCHMARK.json``, so a
+comparison runs what the benchmark runs. The order alternates: even
+pairs run A first, odd pairs B first, so a drift over the session or a
+first-run effect lands on both sides alike.
 
 For each workload and end-to-end metric (per-layer metric with
 ``--trace 1``) it prints A's and B's median and
@@ -32,8 +34,9 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOADS = ("cold_report", "serve_live", "fleet_whatif")
-#: A run builds its inputs (up to 600 s) and then runs for ``--seconds``.
+#: Every run uses one seed, so both sides build the same inputs.
+SEED = 7
+#: A run builds its inputs (up to 600 s) and then runs for ``run_seconds``.
 RUN_TIMEOUT_S = 1200
 
 
@@ -45,20 +48,24 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def better_directions(checkout: Path, trace: int) -> dict[str, str]:
+def load_benchmark(checkout: Path) -> dict:
+    """A checkout's ``BENCHMARK.json``."""
+    with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def better_directions(spec: dict, trace: int) -> dict[str, str]:
     """Metric name -> ``"higher"`` or ``"lower"``: the end-to-end metrics,
     or the per-layer ones for a traced run."""
-    with open(checkout / "BENCHMARK.json", encoding="utf-8") as fh:
-        spec = json.load(fh)
     return {m["name"]: m["better"] for m in spec["per_layer" if trace else "end_to_end"]}
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: int, trace: int) -> dict:
     """One ``perfbench`` run: its metric values, checks and environment."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+         "--seed", str(SEED), "--seconds", str(seconds), "--trace", str(trace)],
         cwd=checkout, env=env, capture_output=True, text=True,
         timeout=RUN_TIMEOUT_S,
     )
@@ -143,14 +150,12 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("a", type=Path, help="base checkout (A)")
     parser.add_argument("b", type=Path, help="changed checkout (B); the same SHA for A/A")
-    parser.add_argument("--pairs", type=int, default=5)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS),
-                        help="comma-separated workload names")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--seconds", type=int, default=30)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--workloads", default="",
+                        help="comma-separated workload names; default every one "
+                             "in B's BENCHMARK.json")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1 compares the per-layer metrics of traced runs")
-    parser.add_argument("--json", type=Path, help="also write every run's values here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -158,32 +163,27 @@ def main(argv=None) -> int:
     for checkout in (a_dir, b_dir):
         if not (checkout / "perfbench" / "run.py").is_file():
             parser.error(f"{checkout} holds no perfbench/run.py")
-    workloads = [w for w in args.workloads.split(",") if w]
-    unknown = sorted(set(workloads) - set(WORKLOADS))
+    spec = load_benchmark(b_dir)
+    known = [w["name"] for w in spec["workloads"]]
+    workloads = [w for w in args.workloads.split(",") if w] or known
+    unknown = sorted(set(workloads) - set(known))
     if unknown:
-        parser.error(f"unknown workloads {unknown}; known: {', '.join(WORKLOADS)}")
+        parser.error(f"unknown workloads {unknown}; known: {', '.join(known)}")
 
-    better = better_directions(b_dir, args.trace)
+    better = better_directions(spec, args.trace)
     runs = {w: {"a": [], "b": []} for w in workloads}
     for i in range(args.pairs):
         order = (("a", a_dir), ("b", b_dir)) if i % 2 == 0 else (("b", b_dir), ("a", a_dir))
         for workload in workloads:
             for side, checkout in order:
                 runs[workload][side].append(
-                    run_once(checkout, workload, args.seed, args.seconds, args.trace))
+                    run_once(checkout, workload, spec["run_seconds"], args.trace))
                 print(f"pair {i + 1}/{args.pairs} {workload} {side.upper()} done",
                       file=sys.stderr, flush=True)
-    out = {}
     for workload in workloads:
         a_runs, b_runs = runs[workload]["a"], runs[workload]["b"]
         rows = summarize(a_runs, b_runs, better)
         print(report(workload, a_runs, b_runs, rows, a_dir, b_dir))
-        out[workload] = {"runs": runs[workload], "summary": rows}
-    if args.json is not None:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            json.dump({"a": str(a_dir), "b": str(b_dir), "pairs": args.pairs,
-                       "seed": args.seed, "seconds": args.seconds, "trace": args.trace,
-                       "workloads": out}, fh, indent=1)
     return 0
 
 
