@@ -40,14 +40,20 @@ machine enters only as the layer peaks each point divides the series
 by. A plan that relocates no rows leaves bytes, layers and job windows
 alone, so its outcome reuses the baseline's demand series as well.
 
-The base half of the re-timing ratio is memoized the same way: per
-origin layer, the rows ordered by interface and each row's ``bw_base``
-for read and write (24 bytes a row), keyed on the plan's base machine
-and perf model, which every built-in scenario shares. A point computes
-only ``bw_scenario``, and not even that for a group whose mechanism it
-leaves alone (same layer, same layer model, parallelism factor 1, equal
+The base half of the re-timing ratio is memoized the same way, keyed
+on the plan's base machine and perf model, which every built-in
+scenario shares. Per origin layer and direction it keeps only the
+*live* rows, those whose stored time that way is nonzero, ordered by
+interface, with each one's ``bw_base`` (16 bytes a live row). Most
+files only read or only write (the paper's op-class split), and a 0.0
+or -0.0 time times a finite positive ratio is itself, so the other rows
+keep their stored times exactly. A point computes only ``bw_scenario``
+over live rows, and not even that for a group whose mechanism it leaves
+alone (same layer, same layer model, parallelism factor 1, equal
 deterministic perf models): there ``bw_base / bw_scenario`` is exactly
-1.0, so the group's times are only multiplied by the contention ratio.
+1.0, so the group's times are only multiplied by the contention ratio,
+and left as stored when that is 1.0 too. A layer whose rows all stay
+and keep their times reuses the baseline's tallies in the outcome.
 
 ``compute_point``, a serial :func:`sweep` and the pool worker share one
 point function. A pooled sweep hands each worker the file table without
@@ -75,11 +81,11 @@ from repro.iosim.replay import demand_series, layer_demand
 from repro.obs.tracer import trace_span
 from repro.platforms.interfaces import IOInterface
 from repro.platforms.machine import Machine
+from repro.platforms.storage import StorageLayer
 from repro.store.recordstore import RecordStore
 from repro.store.schema import LAYER_INSYSTEM, LAYER_NAMES, LAYER_PFS, concat_rows
 from repro.whatif.scenarios import ScenarioPlan, get_scenario
 from repro.whatif.transfers import (
-    SPEC_FIELDS,
     build_spec,
     layout_parallelism,
     nnodes_by_row,
@@ -116,32 +122,50 @@ def _contention_ratio(plan: ScenarioPlan, base_kind: str, scn_kind: str) -> floa
 #: The columns a scenario can change; every other field is the stored row's.
 RETIMED = ("read_time", "write_time", "meta_time", "layer")
 
+#: Each direction's stored time column, bytes column and op-count column.
+_DIRECTIONS = {
+    "read": ("read_time", "bytes_read", "reads"),
+    "write": ("write_time", "bytes_written", "writes"),
+}
+
 
 @dataclass(frozen=True)
-class _BaseHalf:
-    """One origin layer's plan-independent half of the re-timing."""
+class _LiveRows:
+    """One origin layer's plan-independent half of the re-timing, for
+    one direction.
 
-    #: The layer's row indices, stably sorted by interface.
+    It holds only the rows whose stored time in the direction is nonzero
+    (NaN included). A 0.0 or -0.0 time times a finite positive ratio is
+    that same value, so every other row keeps its stored time.
+    """
+
+    #: The live rows' indices, stably sorted by interface.
     order: np.ndarray
     #: ``(interface code, start, stop)`` of each interface's run of ``order``.
     runs: tuple[tuple[int, int, int], ...]
-    #: Direction -> the deterministic base bandwidth of each row of ``order``.
-    bw: Mapping[str, np.ndarray]
+    #: The deterministic base bandwidth of each row of ``order``.
+    bw: np.ndarray
 
 
-def _gather(store: RecordStore, idx: np.ndarray):
-    """The spec fields, node counts and transfer sizes at rows ``idx``."""
+def _gather(store: RecordStore, idx: np.ndarray, direction: str, code: int):
+    """What ``build_spec`` reads for ``direction`` at rows ``idx``, all of
+    interface ``code``, plus their node counts and transfer sizes."""
     ctx = store.analysis()
     nnodes = ctx.cached(
         ("whatif.nnodes",), lambda: nnodes_by_row(ctx.column("job_id"), store.jobs)
     )
-    rows = {name: ctx.column(name)[idx] for name in SPEC_FIELDS}
+    _, bytes_col, ops_col = _DIRECTIONS[direction]
+    rows = {name: ctx.column(name)[idx] for name in (bytes_col, ops_col, "rank", "nprocs")}
+    # The run's interface code stands in for the column: build_spec only
+    # compares it with MPI-IO's to set the collective flag.
+    rows["interface"] = np.int64(code)
     return rows, nnodes[idx], ctx.transfer_sizes()[idx].astype(np.float64)
 
 
 def _base_half(store: RecordStore, plan: ScenarioPlan, oc: int,
-               pair_key: str) -> _BaseHalf:
-    """Layer ``oc``'s base bandwidths, memoized per store generation.
+               pair_key: str) -> dict[str, _LiveRows]:
+    """Layer ``oc``'s live rows and their base bandwidths per direction,
+    memoized per store generation.
 
     They depend on the store and the plan's base (machine, perf model)
     pair alone, and every built-in scenario shares the platform's base
@@ -150,53 +174,86 @@ def _base_half(store: RecordStore, plan: ScenarioPlan, oc: int,
     rest of the context's memo.
     """
     ctx = store.analysis()
+    layer = plan.base_machine.layers[LAYER_NAMES[oc]]
 
-    def compute() -> _BaseHalf:
-        oidx = np.flatnonzero(ctx.mask(("layer", oc)))
-        order = oidx[np.argsort(ctx.column("interface")[oidx], kind="stable")]
+    def live_rows(direction: str) -> _LiveRows:
+        times = ctx.column(_DIRECTIONS[direction][0])
+        live = np.flatnonzero(ctx.mask(("layer", oc)) & (times != 0))
+        order = live[np.argsort(ctx.column("interface")[live], kind="stable")]
         counts = np.bincount(ctx.column("interface")[order])
         stops = np.cumsum(counts)
         runs = tuple(
             (int(code), int(stops[code] - counts[code]), int(stops[code]))
             for code in np.flatnonzero(counts)
         )
-        layer = plan.base_machine.layers[LAYER_NAMES[oc]]
-        bw = {"read": np.empty(len(order)), "write": np.empty(len(order))}
+        bw = np.empty(len(order))
         for code, lo, hi in runs:
-            interface = IOInterface(code)
             # Every step below is elementwise, so a fixed-size block of
             # rows at a time gives the same values with bounded temporaries.
             for start in range(lo, hi, _CHUNK):
                 stop = min(start + _CHUNK, hi)
-                rows, rn, gsizes = _gather(store, order[start:stop])
+                rows, rn, gsizes = _gather(store, order[start:stop], direction, code)
                 par = layout_parallelism(store.platform, oc, plan.base_machine,
                                          gsizes, rn)
-                for direction, values in bw.items():
-                    values[start:stop] = plan.base_perf.sample_bandwidth(
-                        layer, interface, direction,
-                        build_spec(rows, rn, par, direction), _NULL_RNG,
-                    )
-        return _BaseHalf(order, runs, bw)
+                bw[start:stop] = plan.base_perf.sample_bandwidth(
+                    layer, IOInterface(code), direction,
+                    build_spec(rows, rn, par, direction), _NULL_RNG,
+                )
+        return _LiveRows(order, runs, bw)
 
-    return ctx.cached(("whatif.base_half", oc, pair_key), compute)
+    return ctx.cached(
+        ("whatif.base_half", oc, pair_key),
+        lambda: {direction: live_rows(direction) for direction in _DIRECTIONS},
+    )
 
 
-def _same_mechanism(plan: ScenarioPlan, oc: int, nc: int, factor: float) -> bool:
-    """True when a row staying on layer ``oc`` meets the same model.
+@dataclass(frozen=True)
+class _Mechanism:
+    """What a plan does to the rows moving from one layer to another."""
 
-    Then the scenario half equals the base half: the same spec through
-    the same deterministic model, floored at ``min_bandwidth > 0``, so
-    ``bw_base / bw_scn`` is exactly 1.0 for every row. A deterministic
-    model never reads its contention map.
+    scn_layer: StorageLayer
+    #: E[frac_base] / E[frac_scenario], exactly 1.0 for equal models.
+    cratio: float
+    #: The destination layer's layout-parallelism factor.
+    factor: float
+    #: Scenario over base latency floor, the ``meta_time`` multiplier.
+    meta_ratio: float
+    #: True when ``bw_base / bw_scenario`` is exactly 1.0 for every row.
+    same: bool
+
+    @property
+    def copy(self) -> bool:
+        """True when the rows keep their stored read and write times."""
+        return self.same and self.cratio == 1.0
+
+
+def _mechanism(plan: ScenarioPlan, oc: int, nc: int) -> _Mechanism:
+    """The ratios a row moving from layer ``oc`` to ``nc`` is re-timed by.
+
+    ``same`` holds when the row stays on its layer and meets the same
+    mechanism: same layer, parallelism factor 1.0, and deterministic
+    perf models equal once their ``contention`` maps are set aside (a
+    deterministic model never reads that map). Then the same spec
+    passes through the same model, floored at ``min_bandwidth > 0``, so
+    ``bw_base / bw_scn`` is exactly 1.0.
     """
-    key = LAYER_NAMES[oc]
-    return (
+    base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
+    scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
+    factor = plan.parallelism_factor(LAYER_NAMES[nc])
+    same = (
         oc == nc
         and factor == 1.0
-        and plan.machine.layers[key] == plan.base_machine.layers[key]
+        and scn_layer == base_layer
         and plan.base_perf.deterministic
         and plan.perf.deterministic
         and replace(plan.base_perf, contention={}) == replace(plan.perf, contention={})
+    )
+    return _Mechanism(
+        scn_layer,
+        _contention_ratio(plan, base_layer.kind.value, scn_layer.kind.value),
+        factor,
+        scn_layer.base_latency / base_layer.base_latency,
+        same,
     )
 
 
@@ -210,10 +267,17 @@ def retime_columns(
     the plan relocated to the in-system layer. The store is never
     mutated; its other fields are unchanged by every scenario.
     """
+    columns, moved = _retime(store, plan)
+    columns["meta_time"] = _meta_times(store, plan, columns["layer"])
+    return columns, moved
+
+
+def _retime(store: RecordStore, plan: ScenarioPlan) -> tuple[dict[str, np.ndarray], int]:
+    """:func:`retime_columns` without ``meta_time``, which no report reads."""
     ctx = store.analysis()
     col = ctx.column
     layer = col("layer")
-    out = {name: col(name).copy() for name in RETIMED}
+    out = {name: col(name).copy() for name in ("read_time", "write_time", "layer")}
     moved = 0
     if plan.relocate_min_bytes is not None:
         move = (
@@ -230,63 +294,81 @@ def retime_columns(
     # themselves; their dataclass repr spells every field, floats exactly.
     pair_key = repr((plan.base_machine, plan.base_perf))
     for oc in (LAYER_PFS, LAYER_INSYSTEM):
-        half = _base_half(store, plan, oc, pair_key)
-        dest = out["layer"][half.order]
-        for nc in (LAYER_PFS, LAYER_INSYSTEM):
-            pos = np.flatnonzero(dest == nc)
-            if len(pos):
-                _retime_group(store, plan, oc, nc, half, pos, out)
+        mechs = {nc: _mechanism(plan, oc, nc) for nc in (LAYER_PFS, LAYER_INSYSTEM)}
+        for direction, live in _base_half(store, plan, oc, pair_key).items():
+            if moved:
+                dest = out["layer"][live.order]
+                groups = [(nc, np.flatnonzero(dest == nc)) for nc in mechs]
+            else:
+                # Without a relocation every live row stays on its layer.
+                groups = [(oc, None)]
+            for nc, pos in groups:
+                if not mechs[nc].copy:
+                    _retime_group(store, plan, nc, mechs[nc], direction, live, pos, out)
     return out, moved
+
+
+def _meta_times(store: RecordStore, plan: ScenarioPlan, layer: np.ndarray) -> np.ndarray:
+    """The ``meta_time`` column once rows land on the layers ``layer``.
+
+    Metadata follows the destination layer's latency floor; a ratio of
+    1.0 would multiply every time by 1.0, a no-op.
+    """
+    ctx = store.analysis()
+    stored = ctx.column("meta_time")
+    out = stored.copy()
+    for oc in (LAYER_PFS, LAYER_INSYSTEM):
+        for nc in (LAYER_PFS, LAYER_INSYSTEM):
+            ratio = _mechanism(plan, oc, nc).meta_ratio
+            if ratio != 1.0:
+                rows = np.flatnonzero(ctx.mask(("layer", oc)) & (layer == nc))
+                for start in range(0, len(rows), _CHUNK):
+                    idx = rows[start:start + _CHUNK]
+                    out[idx] = stored[idx] * ratio
+    return out
 
 
 def _retime_group(
     store: RecordStore,
     plan: ScenarioPlan,
-    oc: int,
     nc: int,
-    half: _BaseHalf,
-    pos: np.ndarray,
+    mech: _Mechanism,
+    direction: str,
+    live: _LiveRows,
+    pos: np.ndarray | None,
     out: dict[str, np.ndarray],
 ) -> None:
-    """Re-time the rows ``half.order[pos]`` moving from layer ``oc`` to ``nc``."""
+    """Re-time ``direction`` at the rows ``live.order[pos]`` (every live
+    row when ``pos`` is None), which land on layer ``nc``."""
     col = store.analysis().column
-    base_layer = plan.base_machine.layers[LAYER_NAMES[oc]]
-    scn_layer = plan.machine.layers[LAYER_NAMES[nc]]
-    cratio = _contention_ratio(plan, base_layer.kind.value, scn_layer.kind.value)
-    factor = plan.parallelism_factor(LAYER_NAMES[nc])
-    # Metadata follows the destination layer's latency floor; a ratio of
-    # 1.0 would multiply every time by 1.0, a bitwise no-op.
-    meta_ratio = scn_layer.base_latency / base_layer.base_latency
-    same = _same_mechanism(plan, oc, nc, factor)
-    # time x 1.0 x cratio is time x cratio, and a copy when it is 1.0.
-    scaled = ("read_time", "write_time") if same and cratio != 1.0 else ()
-    if meta_ratio != 1.0 or scaled:
-        for start in range(0, len(pos), _CHUNK):
-            idx = half.order[pos[start:start + _CHUNK]]
-            if meta_ratio != 1.0:
-                out["meta_time"][idx] = col("meta_time")[idx] * meta_ratio
-            for time_col in scaled:
-                out[time_col][idx] = col(time_col)[idx] * cratio
-    if same:
-        return
-    for code, lo, hi in half.runs:
-        interface = IOInterface(code)
-        first, last = np.searchsorted(pos, (lo, hi))
-        for start in range(first, last, _CHUNK):
-            p = pos[start:min(start + _CHUNK, last)]
-            idx = half.order[p]
-            rows, rn, gsizes = _gather(store, idx)
-            scn_par = layout_parallelism(store.platform, nc, plan.machine,
-                                         gsizes, rn, factor=factor)
-            for direction, bw_base in half.bw.items():
+    time_col = _DIRECTIONS[direction][0]
+    for code, lo, hi in live.runs:
+        # Blocks of positions in ``live.order``: plain slices when every
+        # live row is re-timed, so no position array is gathered.
+        if pos is None:
+            blocks = [slice(start, min(start + _CHUNK, hi))
+                      for start in range(lo, hi, _CHUNK)]
+        else:
+            first, last = np.searchsorted(pos, (lo, hi))
+            blocks = [pos[start:min(start + _CHUNK, last)]
+                      for start in range(first, last, _CHUNK)]
+        for p in blocks:
+            idx = live.order[p]
+            times = col(time_col)[idx]
+            if not mech.same:
+                rows, rn, gsizes = _gather(store, idx, direction, code)
+                scn_par = layout_parallelism(store.platform, nc, plan.machine,
+                                             gsizes, rn, factor=mech.factor)
                 bw_scn = plan.perf.sample_bandwidth(
-                    scn_layer, interface, direction,
+                    mech.scn_layer, IOInterface(code), direction,
                     build_spec(rows, rn, scn_par, direction), _NULL_RNG,
                 )
-                time_col = f"{direction}_time"
-                out[time_col][idx] = (
-                    col(time_col)[idx] * (bw_base[p] / bw_scn) * cratio
-                )
+                times = times * (live.bw[p] / bw_scn)
+            # (time x ratio) x cratio, in that order; the same mechanism's
+            # ratio is exactly 1.0, and x 1.0 is a no-op.
+            if mech.cratio != 1.0:
+                times *= mech.cratio
+            out[time_col][idx] = times
 
 
 # -- metrics -----------------------------------------------------------------
@@ -316,33 +398,30 @@ _METRIC_AXES = tuple(
 )
 
 
-def _tallies(store: RecordStore, times, layer=None) -> tuple:
-    """(files, seconds, median bandwidth) per :data:`_METRIC_AXES` entry.
+def _tally(store: RecordStore, axis: tuple, times, layer=None) -> tuple:
+    """(files, seconds, median bandwidth) of one :data:`_METRIC_AXES` entry.
 
     ``times`` maps ``read_time``/``write_time`` to per-row arrays;
     ``layer`` replaces the store's layer column (a relocation), else the
     context's cached selections are used.
     """
     ctx = store.analysis()
-    out = []
-    for _, code, _, bytes_col, time_col in _METRIC_AXES:
-        if layer is None:
-            sel = ctx.idx("unique", ("layer", code), ("pos", bytes_col))
-        else:
-            sel = np.flatnonzero(
-                ctx.mask("unique") & (layer == code)
-                & ctx.mask(("pos", bytes_col))
-            )
-        t = times[time_col][sel]
-        median = 0.0
-        if len(sel):
-            b = ctx.column(bytes_col)[sel].astype(np.float64)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                bw = np.where(t > 0, b / t, np.nan)
-            if np.isfinite(bw).any():
-                median = float(np.nanmedian(bw))
-        out.append((len(sel), float(t.sum()), median))
-    return tuple(out)
+    _, code, _, bytes_col, time_col = axis
+    if layer is None:
+        sel = ctx.idx("unique", ("layer", code), ("pos", bytes_col))
+    else:
+        sel = np.flatnonzero(
+            ctx.mask("unique") & (layer == code) & ctx.mask(("pos", bytes_col))
+        )
+    t = times[time_col][sel]
+    median = 0.0
+    if len(sel):
+        b = ctx.column(bytes_col)[sel].astype(np.float64)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bw = np.where(t > 0, b / t, np.nan)
+        if np.isfinite(bw).any():
+            median = float(np.nanmedian(bw))
+    return len(sel), float(t.sum()), median
 
 
 def _series(store: RecordStore, layer=None):
@@ -385,7 +464,8 @@ def _baseline(store: RecordStore) -> tuple:
             if sp is not None:
                 sp.add(rows=len(store.files))
             times = {name: ctx.column(name) for name in ("read_time", "write_time")}
-            return _tallies(store, times), _series(store)
+            tallies = tuple(_tally(store, axis, times) for axis in _METRIC_AXES)
+            return tallies, _series(store)
 
     return ctx.cached(_baseline_key(store), compute)
 
@@ -474,18 +554,28 @@ def _point(store: RecordStore, plan: ScenarioPlan) -> WhatIfReport:
         if sp is not None:
             sp.add(scenario=plan.scenario, rows=len(store.files))
         tallies, series = _baseline(store)
-        columns, moved = retime_columns(store, plan)
+        columns, moved = _retime(store, plan)
         # A plan that moves no row leaves bytes, layers and job windows
         # as stored: the outcome keeps the baseline's selections and
         # demand series, and only the peaks it is divided by change.
+        # A layer whose rows all keep their stored times also keeps the
+        # baseline's tallies.
         layer = columns["layer"] if moved else None
+        kept = () if moved else tuple(
+            code for code in (LAYER_PFS, LAYER_INSYSTEM)
+            if _mechanism(plan, code, code).copy
+        )
+        outcome = tuple(
+            base if axis[1] in kept else _tally(store, axis, columns, layer)
+            for axis, base in zip(_METRIC_AXES, tallies)
+        )
         return WhatIfReport(
             platform=store.platform,
             scenario=plan.scenario,
             params=plan.params,
             baseline=_metrics(tallies, series, plan.base_machine),
             outcome=_metrics(
-                _tallies(store, columns, layer),
+                outcome,
                 _series(store, layer) if moved else series,
                 plan.machine,
             ),

@@ -10,9 +10,13 @@
   append recomputes it;
 - **base-half memo**: each origin layer's base bandwidths are computed
   once per store generation, and a point that computes only its
-  scenario half (skipping groups whose mechanism is unchanged) re-times
-  every row byte for byte as the loop that computed both halves for
-  every group;
+  scenario half (skipping groups whose mechanism is unchanged, and per
+  direction the rows whose stored time is 0.0 or -0.0) re-times every
+  row byte for byte as the loop that computed both halves for every
+  group and row;
+- **tally reuse**: an outcome axis whose rows keep their stored layer
+  and times takes the baseline's tally instead of recomputing it, and
+  equals the recomputed one;
 - **no per-point table copy**: a point allocates its four re-timed
   columns and bounded temporaries, not a copy of the 262-byte rows.
 """
@@ -309,7 +313,8 @@ def _assert_retimed_equal(store, plan):
 @st.composite
 def retime_stores(draw):
     """A small store over PFS, in-system and other rows and every
-    interface, where one of the two modeled layers may be empty."""
+    interface, where one of the two modeled layers may be empty and
+    times may be zero, negative zero or NaN whatever the bytes."""
     platform = draw(st.sampled_from(["summit", "cori"]))
     layers = draw(st.sampled_from([
         (LAYER_PFS,), (LAYER_INSYSTEM,), (LAYER_PFS, LAYER_INSYSTEM),
@@ -331,7 +336,13 @@ def retime_stores(draw):
     files["bytes_written"] = column(sizes)
     files["reads"] = column(st.integers(0, 1 << 20))
     files["writes"] = column(st.integers(0, 1 << 20))
-    times = st.floats(0.0, 1e5, allow_nan=False)
+    # Zero, negative-zero and NaN times, drawn independently of the
+    # bytes: rows that moved bytes in no time, and rows that took time
+    # to move no bytes.
+    times = st.one_of(
+        st.sampled_from([0.0, -0.0, float("nan")]),
+        st.floats(0.0, 1e5, allow_nan=False),
+    )
     for name in ("read_time", "write_time", "meta_time"):
         files[name] = column(times)
     jobs = _jobs(range(5), draw(st.lists(st.integers(1, 4096), min_size=5, max_size=5)),
@@ -373,6 +384,36 @@ class TestBaseHalfDifferential:
             store = fresh_store(source)
             for params in (None, NEUTRAL_POINTS[name]):
                 _assert_retimed_equal(store, get_scenario(name).plan(store.platform, params))
+
+    @pytest.mark.parametrize("name", sorted(scenario_catalog()))
+    def test_rows_with_no_time_or_no_bytes(self, name):
+        """Each direction skips exactly the rows whose stored time is 0.0
+        or -0.0; a NaN time and a time over zero bytes are re-timed."""
+        cases = [  # (bytes, time)
+            (1 << 30, 0.0), (1 << 30, -0.0), (1 << 30, float("nan")),
+            (0, 12.5), (0, 0.0), (0, -0.0), (1 << 20, 3.0),
+        ]
+        n = 3 * len(cases)
+        files = empty_files(n)
+        files["job_id"] = np.arange(n) % 3
+        files["layer"] = np.repeat([LAYER_PFS, LAYER_INSYSTEM, LAYER_OTHER], len(cases))
+        files["interface"] = np.array(_IFACES)[np.arange(n) % len(_IFACES)]
+        files["rank"] = np.where(np.arange(n) % 2, -1, 0)
+        files["nprocs"] = 64
+        nbytes, times = (np.array(c * 3) for c in zip(*cases))
+        files["bytes_read"], files["read_time"] = nbytes, times
+        # The write side sees the same rows the other way round.
+        files["bytes_written"], files["write_time"] = nbytes[::-1], times[::-1]
+        files["reads"] = files["writes"] = 16
+        files["meta_time"] = times
+        for platform in ("summit", "cori"):
+            store = RecordStore(platform, files.copy(), _jobs(range(3), 4, 0.0, 60.0))
+            scenario = get_scenario(name)
+            for params in (None, NEUTRAL_POINTS[name]):
+                _assert_retimed_equal(store, scenario.plan(platform, params))
+            if name == "bb_offload":
+                plan = scenario.plan(platform, {"min_gb": 0.0})
+                assert _assert_retimed_equal(store, plan) > 0
 
     def test_bb_offload_moving_only_some_rows(self, point_store):
         store = fresh_store(point_store)
@@ -420,3 +461,64 @@ class TestBaseHalfMemo:
         after = compute_point(store, "stripe")
         assert store.analysis().cache_info()["whatif.base_half"] == 2
         assert after == compute_point(fresh_store(store), "stripe")
+
+
+def _tallied_axes(store, scenario, params=None):
+    """The report and the outcome axes whose tallies a point computed."""
+    with mock.patch.object(engine, "_tally", wraps=engine._tally) as spy:
+        report = compute_point(store, scenario, params)
+    return report, {(call.args[1][0], call.args[1][2]) for call in spy.call_args_list}
+
+
+def _axes(*layers):
+    return {(layer, d) for layer in layers for d in ("read", "write")}
+
+
+class TestTallyReuse:
+    """An axis whose rows all keep their stored layer and times reuses
+    the baseline's tally, and the report is the one a recompute gives."""
+
+    #: Per scenario (default point), the layers whose rows it leaves as stored.
+    KEPT = {
+        "identity": ("pfs", "insystem"),
+        "bb_drain": ("pfs",),
+        "ost_fault": ("insystem",),
+        "stripe": ("insystem",),
+        "contention": (),
+        "bb_offload": (),  # it moves rows, so every axis is recomputed
+    }
+
+    def _check(self, source, name, params, kept):
+        store = fresh_store(source)
+        compute_point(store, "identity")  # the baseline, tallied once
+        report, tallied = _tallied_axes(store, name, params)
+        assert tallied == _axes("pfs", "insystem") - _axes(*kept)
+        assert report == compute_point(fresh_store(source), name, params)
+        # The reused tallies are the ones the re-timed columns give.
+        plan = get_scenario(name).plan(store.platform, params)
+        columns, moved = engine.retime_columns(store, plan)
+        layer = columns["layer"] if moved else None
+        assert [(m.files, m.seconds, m.median_bw) for m in report.outcome] == [
+            engine._tally(store, axis, columns, layer) for axis in engine._METRIC_AXES
+        ]
+
+    @pytest.mark.parametrize("name", sorted(KEPT))
+    def test_default_points(self, point_store, cori_store_small, name):
+        for source in (point_store, cori_store_small):
+            self._check(source, name, None, self.KEPT[name])
+
+    @pytest.mark.parametrize("name", sorted(scenario_catalog()))
+    def test_neutral_points_reuse_every_axis(self, point_store, name):
+        self._check(point_store, name, NEUTRAL_POINTS[name], ("pfs", "insystem"))
+
+    def test_untouched_axes_compute_no_median(self, point_store):
+        """``point_store`` holds PFS rows only: identity and bb_drain
+        leave them as stored, contention and stripe re-time them."""
+        store = fresh_store(point_store)
+        compute_point(store, "identity")
+        medians = {}
+        for name in ("identity", "bb_drain", "contention", "stripe"):
+            with mock.patch.object(np, "nanmedian", wraps=np.nanmedian) as spy:
+                compute_point(store, name)
+            medians[name] = spy.call_count
+        assert medians == {"identity": 0, "bb_drain": 0, "contention": 2, "stripe": 2}
