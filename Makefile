@@ -1,12 +1,13 @@
-# Stable collection order and hashes across runs: the differential suite
-# compares stores bit-for-bit, so the harness itself must be deterministic.
+# Stable collection order and hashes across runs: the differential oracle
+# (tests/test_differential.py) compares every route to an exhibit with the
+# cold serial answer bit for bit, so the harness itself must be deterministic.
 # -p no:randomly is a no-op unless pytest-randomly happens to be installed.
 PYTEST = PYTHONHASHSEED=0 PYTHONPATH=src python -m pytest -p no:randomly
 
 .PHONY: check test parallel stress bench-pairs
 
-# Fast development loop: everything except the multi-million-row stress
-# guards and the (pool-spawning, slow on few cores) differential suite.
+# Fast development loop, the differential oracle included: everything
+# except the multi-million-row stress guards and the pool-spawning tests.
 check:
 	$(PYTEST) -x -q -m "not stress and not parallel"
 
@@ -14,8 +15,8 @@ check:
 test:
 	$(PYTEST) -x -q
 
-# Only the pool-spawning tests: what-if sweep differentials (serial vs
-# jobs=N equivalence) and the fabric units.
+# Only the pool-spawning tests (slow on few cores): pooled what-if sweeps
+# equal to serial ones at jobs=N, traced pooled sweeps, the fabric units.
 parallel:
 	$(PYTEST) -x -q -m parallel
 

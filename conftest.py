@@ -6,9 +6,9 @@ pytest`` needs ``src/`` on ``sys.path`` to import ``repro``.  The
 Makefile exports ``PYTHONPATH=src`` for the same reason; this conftest
 makes the tier-1 invocation work without it.
 
-The repo root itself is also added so test modules can import shared
-helpers from the ``tests`` package (e.g. the stream differential
-harness reuses ``tests.test_analysis_equivalence.assert_equivalent``).
+The repo root itself is also added so test modules can import the
+shared helpers of ``tests/conftest.py`` (e.g. the differential oracle
+imports ``tests.conftest.assert_equivalent``).
 """
 
 import os

@@ -45,8 +45,3 @@ def ns_to_ms(ns: int) -> float:
 def ns_to_s(ns: int) -> float:
     """Nanoseconds to seconds (float)."""
     return ns / 1e9
-
-
-def ns_to_us(ns: int) -> float:
-    """Nanoseconds to microseconds (float) — Chrome-trace's unit."""
-    return ns / 1e3

@@ -8,47 +8,23 @@ result of the registry query it answers: same dataclasses, same ints,
 bit-equal floats, same rendered report rows. A change that makes the
 fast path faster but shifts any paper number fails here.
 
-:func:`assert_equivalent` is the recursive bit-equality the stream
-differential harness compares live and cold results with.
+:func:`~tests.conftest.assert_equivalent` is the recursive bit-equality
+the differential oracle (``tests/test_differential.py``) compares every
+path's results with; the dtype test below pins its strictness.
 """
 
 from __future__ import annotations
 
 import functools
-import math
-from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
 
 from repro import analysis as fast
 
-from tests.conftest import fresh_store
-from tests.test_analysis_results import load_golden, pin, rendered_rows
-
-
-def assert_equivalent(a, b, where="result"):
-    """Recursive bit-equality, treating NaN as equal to NaN."""
-    assert type(a) is type(b), f"{where}: {type(a)} vs {type(b)}"
-    if is_dataclass(a) and not isinstance(a, type):
-        for f in fields(a):
-            assert_equivalent(
-                getattr(a, f.name), getattr(b, f.name), f"{where}.{f.name}"
-            )
-    elif isinstance(a, dict):
-        assert list(a.keys()) == list(b.keys()), f"{where}: keys differ"
-        for k in a:
-            assert_equivalent(a[k], b[k], f"{where}[{k!r}]")
-    elif isinstance(a, (list, tuple)):
-        assert len(a) == len(b), f"{where}: length {len(a)} vs {len(b)}"
-        for i, (x, y) in enumerate(zip(a, b)):
-            assert_equivalent(x, y, f"{where}[{i}]")
-    elif isinstance(a, np.ndarray):
-        np.testing.assert_array_equal(a, b, err_msg=where, strict=True)
-    elif isinstance(a, float):
-        assert (math.isnan(a) and math.isnan(b)) or a == b, f"{where}: {a} vs {b}"
-    else:
-        assert a == b, f"{where}: {a!r} vs {b!r}"
+from tests.conftest import (
+    assert_equivalent, fresh_store, load_golden, pin, rendered_rows,
+)
 
 
 #: Each entry point (keyword variants included) and the registry query

@@ -22,55 +22,18 @@ Regenerate the golden file only for an intended change of results::
 
 from __future__ import annotations
 
-import dataclasses
-import functools
-import hashlib
 import json
-from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.api import run_query
 from repro.serve.registry import default_registry
 
-GOLDEN_PATH = Path(__file__).parent / "goldens" / "analysis_results.json"
+from tests.conftest import GOLDEN_PATH, load_golden, pin, rendered_rows
+
 STORES = ("summit_store_small", "cori_store_small")
 REGISTRY = default_registry()
 QUERIES = sorted(REGISTRY)
-
-
-def pin(value) -> object:
-    """The JSON form a result is pinned in, recursively."""
-    if dataclasses.is_dataclass(value):
-        return {f.name: pin(getattr(value, f.name))
-                for f in dataclasses.fields(value)}
-    if isinstance(value, dict):
-        # Pairs, not a JSON object: key order and key types are pinned.
-        return [[pin(k), pin(v)] for k, v in value.items()]
-    if isinstance(value, (list, tuple)):
-        return [pin(v) for v in value]
-    if isinstance(value, np.ndarray):
-        if value.dtype.hasobject:
-            raise TypeError("object arrays have no stable bytes")
-        return {
-            "dtype": str(value.dtype),
-            "shape": list(value.shape),
-            "sha256": hashlib.sha256(
-                np.ascontiguousarray(value).tobytes()
-            ).hexdigest(),
-        }
-    if isinstance(value, float):  # numpy's float64 included
-        return float.hex(value)
-    if isinstance(value, (int, str)):  # bools and int or str enums included
-        return value
-    raise TypeError(f"no pinned form for {type(value).__name__}")
-
-
-def rendered_rows(result) -> list:
-    """A tabular result's report rows (a list result renders per item)."""
-    items = result if isinstance(result, (list, tuple)) else [result]
-    return [row for item in items for row in item.to_rows()]
 
 
 def pin_query(store, name: str) -> dict:
@@ -83,12 +46,6 @@ def pin_query(store, name: str) -> dict:
 
 def pin_store(store) -> dict:
     return {name: pin_query(store, name) for name in QUERIES}
-
-
-@functools.cache
-def load_golden() -> dict:
-    with open(GOLDEN_PATH) as fh:
-        return json.load(fh)
 
 
 def test_golden_covers_every_store_and_query():

@@ -1,29 +1,27 @@
 """Multi-store federation: catalog, scatter-gather executor, compare.
 
-The load-bearing test is the differential: a catalog of K
-month-partitioned stores must answer every mergeable registry query
-**bit-identically** to the single merged store built from the same
-members — for the reducer family because integer tallies add
-associatively, for the merged-store fallback by construction. The
-cache-isolation test pins the federation's reason to exist: growing one
-member's month never invalidates another member's cached results.
+That a catalog of K month-partitioned stores answers every mergeable
+registry query bit-identically to the whole store is a path of the
+differential oracle (``tests/test_differential.py``). The
+cache-isolation test here pins the federation's reason to exist:
+growing one member's month never invalidates another member's cached
+results. Members are raw ``.store`` directories, save for one
+compressed ``.npz`` member that keeps a mixed-layout catalog covered.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import shutil
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.api import run_query
-from repro.errors import (
-    CatalogError,
-    CatalogMemberError,
-    MergeSchemaError,
-    UnknownMemberError,
-)
+from repro.cli import main
+from repro.errors import CatalogError, CatalogMemberError, UnknownMemberError
 from repro.federation import (
     REDUCERS,
     FederationExecutor,
@@ -31,56 +29,38 @@ from repro.federation import (
     federated_registry,
     load_catalog,
 )
-from repro.federation.compare import parse_cell
+from repro.federation.compare import compare_serialized, parse_cell
+from repro.serve import BackgroundServer, QueryEngine, ServeClient
 from repro.serve.registry import default_registry, serialize_result
-from repro.store.io import load_store, save_store
+from repro.store.io import save_store
 from repro.store.merge import merge_stores
+
+from tests.conftest import build_catalog, partition_by_month
 
 MERGEABLE = sorted(
     name for name, spec in default_registry().items() if spec.mergeable
 )
 
 
-def partition_by_month(store, k):
-    """Split a store into k disjoint job populations by start time.
-
-    Stand-ins for per-month ingests: together they cover every job, and
-    merging them back (independent populations) is the ground truth the
-    federated answers are pinned against.
-    """
-    order = np.argsort(store.jobs["start_time"], kind="stable")
-    parts = []
-    for chunk in np.array_split(order, k):
-        mask = np.zeros(len(store.jobs), dtype=bool)
-        mask[chunk] = True
-        parts.append(store.filter_jobs(mask))
-    return parts
-
-
-def build_catalog(tmp_path, stores, labels=None, periods=None, **add_kwargs):
-    catalog = StoreCatalog.init(str(tmp_path / "fleet.json"))
-    for i, store in enumerate(stores):
-        label = labels[i] if labels else f"m{i}"
-        path = str(tmp_path / f"{label}.npz")
-        save_store(store, path)
-        catalog.add_store(
-            label, path,
-            period=periods[i] if periods else f"2020-{i + 1:02d}",
-            **add_kwargs,
-        )
-    return catalog
+def merged(*parts):
+    """The members as independent populations in one store."""
+    return merge_stores(parts, remap_log_ids=True, remap_job_ids=True)
 
 
 @pytest.fixture(scope="module")
 def month_parts(summit_store_small):
-    return partition_by_month(summit_store_small, 3)
+    """Three months of every fourth summit job: raw members stay small."""
+    jobs = summit_store_small.jobs
+    return partition_by_month(
+        summit_store_small.filter_jobs(np.arange(len(jobs)) % 4 == 0), 3
+    )
 
 
 @pytest.fixture()
 def fleet(tmp_path, month_parts):
     """A 2-member catalog plus its executor (function-scoped: tests
     mutate member stores and caches)."""
-    catalog = build_catalog(tmp_path, month_parts[:2], facility="olcf")
+    catalog = build_catalog(tmp_path, month_parts[:2], facilities=["olcf"] * 2)
     with FederationExecutor(catalog) as executor:
         yield executor
 
@@ -93,7 +73,7 @@ class TestCatalogManifest:
             StoreCatalog.init(path)
 
     def test_add_list_remove_roundtrip(self, tmp_path, month_parts):
-        catalog = build_catalog(tmp_path, month_parts[:2], facility="olcf")
+        catalog = build_catalog(tmp_path, month_parts[:2], facilities=["olcf"] * 2)
         reread = load_catalog(catalog.path)
         assert reread.labels == ["m0", "m1"]
         m = reread.member("m0")
@@ -120,7 +100,7 @@ class TestCatalogManifest:
 
     def test_duplicate_label_rejected_actionably(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:1])
-        path = str(tmp_path / "m0.npz")
+        path = str(tmp_path / "m0.store")
         with pytest.raises(CatalogError, match="duplicate member label"):
             catalog.add_store("m0", path)
         with pytest.raises(CatalogError, match="catalog remove"):
@@ -128,7 +108,7 @@ class TestCatalogManifest:
 
     def test_malformed_period_rejected_at_add(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:1])
-        path = str(tmp_path / "m0.npz")
+        path = str(tmp_path / "m0.store")
         for bad in ("202001", "2020-13", "2020-03:2020-01", "jan"):
             with pytest.raises(CatalogError, match="period"):
                 catalog.add_store(f"x-{bad}", path, period=bad)
@@ -186,14 +166,14 @@ class TestCatalogManifest:
 
 class TestVerify:
     def test_healthy_catalog_verifies_clean(self, tmp_path, month_parts):
-        catalog = build_catalog(tmp_path, month_parts[:2], facility="olcf")
+        catalog = build_catalog(tmp_path, month_parts[:2], facilities=["olcf"] * 2)
         assert catalog.verify() == []
 
     def test_overlapping_periods_same_facility_flagged(
         self, tmp_path, month_parts
     ):
         catalog = build_catalog(
-            tmp_path, month_parts[:2], facility="olcf",
+            tmp_path, month_parts[:2], facilities=["olcf"] * 2,
             periods=["2020-01:2020-03", "2020-03"],
         )
         problems = catalog.verify()
@@ -202,24 +182,22 @@ class TestVerify:
         assert "'m0'" in problems[0] and "'m1'" in problems[0]
 
     def test_same_period_different_facility_ok(self, tmp_path, month_parts):
-        catalog = StoreCatalog.init(str(tmp_path / "fleet.json"))
-        for i, facility in enumerate(("olcf", "nersc")):
-            path = str(tmp_path / f"{facility}.npz")
-            save_store(month_parts[i], path)
-            catalog.add_store(
-                facility, path, facility=facility, period="2020-01"
-            )
+        facilities = ["olcf", "nersc"]
+        catalog = build_catalog(
+            tmp_path, month_parts[:2], labels=facilities,
+            periods=["2020-01"] * 2, facilities=facilities,
+        )
         assert catalog.verify() == []
 
     def test_missing_member_flagged_with_remedy(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:2])
-        os.remove(str(tmp_path / "m0.npz"))
+        shutil.rmtree(str(tmp_path / "m0.store"))
         problems = catalog.verify()
         assert any("member 'm0'" in p and "catalog remove" in p for p in problems)
 
     def test_corrupt_member_flagged(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:1])
-        (tmp_path / "m0.npz").write_bytes(b"not a zip")
+        (tmp_path / "m0.store" / "files.npy").write_bytes(b"not an array")
         problems = catalog.verify()
         assert any("member 'm0'" in p for p in problems)
 
@@ -252,7 +230,7 @@ class TestVerify:
             domains=other.domains, extensions=other.extensions,
             scale=other.scale / 2,
         )
-        path = str(tmp_path / "rescaled.npz")
+        path = str(tmp_path / "rescaled.store")
         save_store(rescaled, path)
         catalog.add_store("odd", path, period="2020-02")
         problems = catalog.verify()
@@ -267,11 +245,8 @@ class TestRefresh:
 
     def test_changed_member_bumps_only_itself(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:2])
-        grown = merge_stores(
-            [month_parts[0], month_parts[2]],
-            remap_log_ids=True, remap_job_ids=True,
-        )
-        save_store(grown, str(tmp_path / "m0.npz"))
+        grown = merged(month_parts[0], month_parts[2])
+        save_store(grown, str(tmp_path / "m0.store"))
         assert catalog.refresh() == ["m0"]
         assert catalog.member("m0").generation == 1
         assert catalog.member("m0").rows == len(grown.files)
@@ -281,23 +256,8 @@ class TestRefresh:
 
 
 class TestDifferential:
-    """Catalog of K month-partitioned stores == the single merged store,
-    bit-identically, for every mergeable registry query."""
-
-    @pytest.mark.parametrize("k", [2, 3])
-    def test_federated_equals_merged_store(self, tmp_path, month_parts, k):
-        parts = month_parts[:k]
-        catalog = build_catalog(tmp_path, parts)
-        merged = merge_stores(
-            parts, remap_log_ids=True, remap_job_ids=True
-        )
-        registry = default_registry()
-        with FederationExecutor(catalog) as executor:
-            for name in MERGEABLE:
-                spec = registry[name]
-                got = serialize_result(spec, executor.query(name))
-                want = serialize_result(spec, run_query(merged, name))
-                assert got == want, name
+    """Which queries reduce, and that they do; the equality itself is the
+    differential oracle's ``federated_k*`` paths."""
 
     def test_reducer_set_matches_foldable_set(self):
         """Exactly the append-foldable queries have exact reducers —
@@ -324,23 +284,16 @@ class TestRouting:
         self, tmp_path, month_parts
     ):
         catalog = build_catalog(tmp_path, month_parts)
-        merged01 = merge_stores(
-            month_parts[:2], remap_log_ids=True, remap_job_ids=True
-        )
         with FederationExecutor(catalog) as executor:
             got = executor.query("table3", {"member": "m0,m1"})
-        assert got.to_rows() == run_query(merged01, "table3").to_rows()
+        want = run_query(merged(*month_parts[:2]), "table3")
+        assert got.to_rows() == want.to_rows()
 
     def test_facility_and_period_axes_select(self, tmp_path, month_parts):
-        catalog = StoreCatalog.init(str(tmp_path / "fleet.json"))
-        for i, (label, facility) in enumerate(
-            (("a", "olcf"), ("b", "olcf"), ("c", "nersc"))
-        ):
-            path = str(tmp_path / f"{label}.npz")
-            save_store(month_parts[i], path)
-            catalog.add_store(
-                label, path, facility=facility, period=f"2020-{i + 1:02d}"
-            )
+        catalog = build_catalog(
+            tmp_path, month_parts, labels=["a", "b", "c"],
+            facilities=["olcf", "olcf", "nersc"],
+        )
         with FederationExecutor(catalog) as executor:
             assert [m.label for m in executor.select({"facility": "olcf"})] == ["a", "b"]
             assert [m.label for m in executor.select({"period": "2020-02:2020-03"})] == ["b", "c"]
@@ -369,11 +322,8 @@ class TestCacheIsolation:
             assert executor.stats()["counters"]["member_runs"] == 2
 
             # Grow member m0 on disk; refresh bumps only its generation.
-            grown = merge_stores(
-                [month_parts[0], month_parts[2]],
-                remap_log_ids=True, remap_job_ids=True,
-            )
-            save_store(grown, str(tmp_path / "m0.npz"))
+            grown = merged(month_parts[0], month_parts[2])
+            save_store(grown, str(tmp_path / "m0.store"))
             assert catalog.refresh() == ["m0"]
 
             before = executor.cache.info()
@@ -383,13 +333,7 @@ class TestCacheIsolation:
             assert executor.stats()["counters"]["member_runs"] == 3
             assert after["hits"] == before["hits"] + 1
             # And the reduced answer reflects the grown member.
-            want = run_query(
-                merge_stores(
-                    [grown, month_parts[1]],
-                    remap_log_ids=True, remap_job_ids=True,
-                ),
-                "table3",
-            )
+            want = run_query(merged(grown, month_parts[1]), "table3")
             assert result.to_rows() == want.to_rows()
 
     def test_params_distinguish_cache_entries(self, fleet):
@@ -424,8 +368,6 @@ class TestCompare:
         assert warm.rows == cold.rows
 
     def test_compare_reports_one_sided_rows(self):
-        from repro.federation.compare import compare_serialized
-
         wire_a = {"kind": "table", "headers": ["sys", "n"],
                   "rows": [["summit", "1"], ["cori", "2"]]}
         wire_b = {"kind": "table", "headers": ["sys", "n"],
@@ -481,10 +423,7 @@ class TestRemoteMembers:
     @pytest.fixture()
     def remote_fleet(self, tmp_path, month_parts):
         """m0 local, m1 behind a live repro-serve endpoint."""
-        from repro.serve.engine import QueryEngine
-        from repro.serve.server import BackgroundServer
-
-        catalog = build_catalog(tmp_path, month_parts[:1], facility="olcf")
+        catalog = build_catalog(tmp_path, month_parts[:1], facilities=["olcf"])
         with QueryEngine(month_parts[1]) as engine:
             with BackgroundServer(engine) as server:
                 catalog.add_endpoint(
@@ -523,8 +462,6 @@ class TestRemoteMembers:
         assert report.rows
         # Identical to a fully-local compare of the same two stores.
         spec = default_registry()["table3"]
-        from repro.federation.compare import compare_serialized
-
         want = compare_serialized(
             "table3", "m0", "m1",
             serialize_result(spec, run_query(month_parts[0], "table3")),
@@ -535,8 +472,6 @@ class TestRemoteMembers:
     def test_dead_endpoint_verify_is_actionable(self, tmp_path, month_parts):
         catalog = build_catalog(tmp_path, month_parts[:1])
         # Manufacture an endpoint member without probing (port 1 is dead).
-        from dataclasses import replace
-
         member = replace(
             catalog.member("m0"), label="dead", kind="serve",
             location="127.0.0.1:1", period="2020-09",
@@ -551,14 +486,7 @@ class TestFederatedServing:
     def test_engine_serves_federated_registry_over_wire(
         self, tmp_path, month_parts
     ):
-        from repro.serve.client import ServeClient
-        from repro.serve.engine import QueryEngine
-        from repro.serve.server import BackgroundServer
-
         catalog = build_catalog(tmp_path, month_parts[:2])
-        merged = merge_stores(
-            month_parts[:2], remap_log_ids=True, remap_job_ids=True
-        )
         with FederationExecutor(catalog) as executor:
             engine = QueryEngine(
                 executor.anchor_store(),
@@ -570,7 +498,7 @@ class TestFederatedServing:
                     got = client.query("table3")
                     want = serialize_result(
                         default_registry()["table3"],
-                        run_query(merged, "table3"),
+                        run_query(merged(*month_parts[:2]), "table3"),
                     )
                     # The federated spec re-titles; the data must match.
                     assert got["title"] == f"{want['title']} (federated)"
@@ -590,8 +518,6 @@ class TestFederatedServing:
 
     def test_single_store_engine_unaffected(self, month_parts):
         """Without registry=, the engine surface is unchanged."""
-        from repro.serve.engine import QueryEngine
-
         with QueryEngine(month_parts[0]) as engine:
             assert "catalog_members" not in engine.registry
             assert engine.spec("table3").mergeable
@@ -599,28 +525,28 @@ class TestFederatedServing:
 
 class TestCatalogCli:
     def run_cli(self, *argv):
-        from repro.cli import main
-
         return main(list(argv))
+
+    def cli_catalog(self, tmp_path, month_parts, *filenames):
+        """A catalog made through the CLI, one month member per file."""
+        manifest = str(tmp_path / "fleet.json")
+        assert self.run_cli("catalog", "init", manifest) == 0
+        for i, filename in enumerate(filenames):
+            path = str(tmp_path / filename)
+            save_store(month_parts[i], path)
+            assert self.run_cli(
+                "catalog", "add", manifest, filename.split(".")[0],
+                "--store", path, "--facility", "olcf",
+                "--period", f"2020-{i + 1:02d}",
+            ) == 0
+        return manifest
 
     def test_init_add_list_verify_refresh(
         self, tmp_path, month_parts, capsys
     ):
-        manifest = str(tmp_path / "fleet.json")
-        store0 = str(tmp_path / "jan.npz")
-        store1 = str(tmp_path / "feb.npz")
-        save_store(month_parts[0], store0)
-        save_store(month_parts[1], store1)
-
-        assert self.run_cli("catalog", "init", manifest) == 0
-        assert self.run_cli(
-            "catalog", "add", manifest, "jan", "--store", store0,
-            "--facility", "olcf", "--period", "2020-01",
-        ) == 0
-        assert self.run_cli(
-            "catalog", "add", manifest, "feb", "--store", store1,
-            "--facility", "olcf", "--period", "2020-02",
-        ) == 0
+        manifest = self.cli_catalog(
+            tmp_path, month_parts, "jan.store", "feb.store"
+        )
         assert self.run_cli("catalog", "list", manifest) == 0
         out = capsys.readouterr().out
         assert "jan" in out and "feb" in out and "2020-02" in out
@@ -630,48 +556,35 @@ class TestCatalogCli:
         assert self.run_cli("catalog", "refresh", manifest) == 0
 
         # Break a member: verify now fails with exit 1 and a remedy.
-        os.remove(store0)
+        shutil.rmtree(tmp_path / "jan.store")
         assert self.run_cli("catalog", "verify", manifest) == 1
         assert "catalog remove" in capsys.readouterr().out
 
     def test_add_requires_exactly_one_source(self, tmp_path, capsys):
-        manifest = str(tmp_path / "fleet.json")
-        self.run_cli("catalog", "init", manifest)
+        manifest = self.cli_catalog(tmp_path, [])
         assert self.run_cli("catalog", "add", manifest, "x") == 2
         assert "--store or --endpoint" in capsys.readouterr().err
 
     def test_duplicate_add_exits_nonzero(self, tmp_path, month_parts, capsys):
-        manifest = str(tmp_path / "fleet.json")
-        store0 = str(tmp_path / "jan.npz")
-        save_store(month_parts[0], store0)
-        self.run_cli("catalog", "init", manifest)
-        self.run_cli("catalog", "add", manifest, "jan", "--store", store0)
+        manifest = self.cli_catalog(tmp_path, month_parts, "jan.store")
         assert self.run_cli(
-            "catalog", "add", manifest, "jan", "--store", store0
+            "catalog", "add", manifest, "jan",
+            "--store", str(tmp_path / "jan.store"),
         ) == 1
         assert "duplicate member label" in capsys.readouterr().err
 
     def test_analyze_and_query_catalog_paths(
         self, tmp_path, month_parts, capsys
     ):
-        manifest = str(tmp_path / "fleet.json")
-        for i, label in enumerate(("jan", "feb")):
-            path = str(tmp_path / f"{label}.npz")
-            save_store(month_parts[i], path)
-            if i == 0:
-                self.run_cli("catalog", "init", manifest)
-            self.run_cli(
-                "catalog", "add", manifest, label, "--store", path,
-                "--period", f"2020-{i + 1:02d}",
-            )
-        merged = merge_stores(
-            month_parts[:2], remap_log_ids=True, remap_job_ids=True
+        # A mixed-layout catalog: one compressed member, one raw.
+        manifest = self.cli_catalog(
+            tmp_path, month_parts, "jan.npz", "feb.store"
         )
         assert self.run_cli(
             "analyze", "--catalog", manifest, "--exhibit", "table3"
         ) == 0
         out = capsys.readouterr().out
-        want = run_query(merged, "table3").to_rows()
+        want = run_query(merged(*month_parts[:2]), "table3").to_rows()
         for cell in want[0]:
             assert cell in out
 
@@ -700,11 +613,7 @@ class TestCatalogCli:
     def test_analyze_catalog_member_error_is_clean(
         self, tmp_path, month_parts, capsys
     ):
-        manifest = str(tmp_path / "fleet.json")
-        store0 = str(tmp_path / "jan.npz")
-        save_store(month_parts[0], store0)
-        self.run_cli("catalog", "init", manifest)
-        self.run_cli("catalog", "add", manifest, "jan", "--store", store0)
+        manifest = self.cli_catalog(tmp_path, month_parts, "jan.store")
         assert self.run_cli(
             "analyze", "--catalog", manifest, "--exhibit", "table3",
             "--member", "nope",

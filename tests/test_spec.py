@@ -1,12 +1,12 @@
-"""The workload-spec DSL: strict validation, loading, compilation, and
-the byte-identity contract.
+"""The workload-spec DSL: strict validation, loading and compilation.
 
-The load-bearing test is the differential: the builtin ``paper_mix``
-pack must generate a store byte-identical to the direct archetype path
-on both platforms, because compilation only rearranges which
-ArchetypeSpecs feed the generator — the per-(archetype, group,
-log-block) RNG substreams are untouched (DESIGN.md §15). Everything else here pins the SpecError contract:
-every rejection names the dotted field path and the allowed range.
+The byte-identity contract — the builtin ``paper_mix`` pack generates a
+store byte-identical to the direct archetype path on both platforms,
+because compilation only rearranges which ArchetypeSpecs feed the
+generator (DESIGN.md §15) — is a path of the differential oracle
+(``tests/test_differential.py``). Everything here pins the SpecError
+contract: every rejection names the dotted field path and the allowed
+range.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ import json
 import pytest
 
 from repro.errors import ReproError, SpecError
+from repro.iosim.contention import ContentionModel
+from repro.platforms import get_platform
 from repro.spec import (
     CompiledSpec,
     WorkloadSpec,
@@ -28,9 +30,9 @@ from repro.spec import (
     pattern_catalog,
     validate_spec,
 )
-from repro.workloads.generator import GeneratorConfig, WorkloadGenerator
+from repro.workloads.generator import GeneratorConfig
 from repro.workloads.mixes import summit_mix
-from tests.conftest import SEED, SMALL_SCALE, assert_stores_identical
+from tests.conftest import assert_stores_identical
 
 
 def minimal_spec(**overrides) -> dict:
@@ -355,8 +357,6 @@ class TestCompile:
         compiled = compile_spec("degraded_ost_month", platform="summit")
         assert compiled.machine is not None
         assert compiled.perf is not None
-        from repro.platforms import get_platform
-
         healthy = get_platform("summit").layers["pfs"]
         degraded = compiled.machine.layers["pfs"]
         assert degraded.server_count < healthy.server_count
@@ -370,8 +370,6 @@ class TestCompile:
         compiled = compile_spec("noisy_neighbor", platform="summit")
         assert compiled.machine is None
         assert compiled.perf is not None
-        from repro.iosim.contention import ContentionModel
-
         crowded = compiled.perf.contention["pfs"]
         base = ContentionModel.for_layer_kind("pfs")
         # More interfering load -> less of the layer left for the job.
@@ -401,23 +399,7 @@ class TestCompile:
 
 
 class TestPaperMixDifferential:
-    """Acceptance gate: paper_mix ≡ direct archetype path, bit for bit."""
-
-    def test_byte_identical_at_jobs_1(self):
-        gen = WorkloadGenerator("summit", GeneratorConfig(scale=SMALL_SCALE))
-        direct = gen.generate(SEED, shadows=True)
-        via_spec = generate_from_spec(
-            "paper_mix", platform="summit", scale=SMALL_SCALE, seed=SEED
-        )
-        assert_stores_identical(direct, via_spec, "paper_mix summit")
-
-    def test_byte_identical_cori(self):
-        gen = WorkloadGenerator("cori", GeneratorConfig(scale=SMALL_SCALE))
-        direct = gen.generate(SEED, shadows=True)
-        via_spec = generate_from_spec(
-            "paper_mix", platform="cori", scale=SMALL_SCALE, seed=SEED
-        )
-        assert_stores_identical(direct, via_spec, "paper_mix cori")
+    """A compiled spec generates what the one-shot path does."""
 
     def test_compiled_generate_matches_generate_from_spec(self):
         compiled = compile_spec(

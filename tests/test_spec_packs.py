@@ -19,9 +19,12 @@ import numpy as np
 import pytest
 
 import repro
+from repro.federation.executor import FederationExecutor
+from repro.serve.engine import QueryEngine
 from repro.spec import generate_from_spec, pack_names
+from repro.store.io import load_store, save_store
 from repro.store.schema import LAYER_PFS
-from tests.conftest import SEED, SMALL_SCALE
+from tests.conftest import SEED, SMALL_SCALE, build_catalog
 
 GOLDEN_PATH = os.path.join(
     os.path.dirname(__file__), "goldens", "spec_packs.json"
@@ -135,8 +138,6 @@ class TestEndToEnd:
     """One pack store through every downstream subsystem, unchanged."""
 
     def test_analyze_and_serve_agree(self, pack_stores):
-        from repro.serve.engine import QueryEngine
-
         store = pack_stores["bb_eviction_storm"]
         direct = repro.run_query(store, "table3").to_rows()
         engine = QueryEngine(store, max_workers=2)
@@ -163,27 +164,16 @@ class TestEndToEnd:
         assert identity.time_ratio("pfs", "write") == pytest.approx(1.0)
 
     def test_federated_query_over_pack_stores(self, tmp_path, pack_stores):
-        from repro.federation import StoreCatalog
-        from repro.federation.executor import FederationExecutor
-        from repro.store.io import save_store
-
-        catalog = StoreCatalog.init(str(tmp_path / "fleet.json"))
-        for i, (pack, store) in enumerate(sorted(pack_stores.items())):
-            path = str(tmp_path / f"{pack}.npz")
-            save_store(store, path)
-            catalog.add_store(pack, path, period=f"2020-{i + 1:02d}")
-        executor = FederationExecutor(catalog, max_workers=2)
-        direct = repro.run_query(
-            pack_stores["noisy_neighbor"], "table3"
-        ).to_rows()
-        routed = executor.query(
-            "table3", {"member": "noisy_neighbor"}
+        packs = sorted(pack_stores)
+        catalog = build_catalog(
+            tmp_path, [pack_stores[p] for p in packs], labels=packs
         )
-        assert routed.to_rows() == direct
+        direct = repro.run_query(pack_stores["noisy_neighbor"], "table3")
+        with FederationExecutor(catalog, max_workers=2) as executor:
+            routed = executor.query("table3", {"member": "noisy_neighbor"})
+        assert routed.to_rows() == direct.to_rows()
 
     def test_save_load_round_trip(self, tmp_path, pack_stores):
-        from repro.store.io import load_store, save_store
-
         store = pack_stores["degraded_ost_month"]
         path = str(tmp_path / "pack.npz")
         save_store(store, path)

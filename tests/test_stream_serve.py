@@ -10,17 +10,14 @@ across a long append schedule.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import dataset_summary, layer_volumes
-from repro.instrument.runtime import LogMaterializer
 from repro.platforms import summit
 from repro.serve.engine import QueryEngine
-from repro.store.recordstore import RecordStore
-from repro.store.schema import empty_files, empty_jobs
 from repro.stream import StreamIngestor
-from repro.workloads.domains import domain_catalog
+
+from tests.conftest import empty_like, fresh_store
 
 pytestmark = pytest.mark.stream
 
@@ -28,23 +25,13 @@ FOLDABLE = ("table3", "table6", "fig4", "fig5", "fig6", "fig8")
 
 
 @pytest.fixture(scope="module")
-def stream_logs(summit_store_small):
-    return LogMaterializer(summit(), summit_store_small).materialize_many(12)
+def stream_logs(summit_logs):
+    return summit_logs[:12]
 
 
 @pytest.fixture()
 def live(summit_store_small):
-    return RecordStore(
-        "summit", empty_files(0), empty_jobs(0),
-        domains=summit_store_small.domains, scale=summit_store_small.scale,
-    )
-
-
-def _cold_clone(store: RecordStore) -> RecordStore:
-    return RecordStore(
-        store.platform, store.files.copy(), store.jobs.copy(),
-        domains=store.domains, extensions=store.extensions, scale=store.scale,
-    )
+    return empty_like(summit_store_small)
 
 
 def test_refresh_rewarns_only_requested_foldables(live, stream_logs):
@@ -64,7 +51,7 @@ def test_refresh_rewarns_only_requested_foldables(live, stream_logs):
         after = engine.metrics.snapshot()["counters"]["cache_hits"]
         assert after - before == 2  # both served warm at the new generation
         # Warm results are exact: same bits a cold store computes.
-        assert engine.query("table3") == layer_volumes(_cold_clone(live))
+        assert engine.query("table3") == layer_volumes(fresh_store(live))
 
 
 def test_refresh_skips_already_current_entries(live, stream_logs):
@@ -89,7 +76,7 @@ def test_non_foldable_queries_invalidate_and_recompute(live, stream_logs):
         after = engine.metrics.snapshot()["counters"]
         assert after["cache_misses"] - counters["cache_misses"] == 1
         assert after["executions"] - counters["executions"] == 1
-        assert fresh == dataset_summary(_cold_clone(live))
+        assert fresh == dataset_summary(fresh_store(live))
         assert fresh != stale  # the append changed the dataset summary
 
 
@@ -124,7 +111,7 @@ def test_warm_hit_rate_stays_positive_across_appends(live, stream_logs):
             rounds += 1
         assert rounds == len(stream_logs) - 1
         # And the warm results are still the exact cold-recompute bits.
-        cold = _cold_clone(live)
+        cold = fresh_store(live)
         assert engine.query("table3") == layer_volumes(cold)
         info = engine.cache.info()
         assert info["hits"] >= rounds * len(FOLDABLE)

@@ -2,10 +2,10 @@
 
 Three properties anchor the digital twin:
 
-- **zero check** (differential): every entry point — ``compute_point``,
-  ``materialize``, ``sweep``, the serve registry, the CLI — produces a
-  result *bit-identical* to the baseline under the identity scenario and
-  under every scenario's neutral parameter point;
+- **zero check**: every entry point — ``compute_point``, ``sweep``, the
+  serve registry, the CLI — reads zero under the identity scenario; the
+  differential oracle (``tests/test_differential.py``) pins every
+  scenario's neutral-point twin byte-identical to its input store;
 - **cache semantics**: sweep points are cached per (scenario, params,
   store generation) through the serve engine, so repeated identical
   sweeps on an unchanged store are cache hits and any append
@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 
 from repro.analysis.report import HEADERS
 from repro.api import run_query
+from repro.cli import main
 from repro.errors import WhatIfError
 from repro.serve.engine import QueryEngine
 from repro.serve.registry import default_registry, serialize_result
 from repro.store.io import save_store
+from repro.store.schema import LAYER_INSYSTEM
 from repro.whatif import (
     compute_point,
     get_scenario,
@@ -35,16 +37,7 @@ from repro.whatif import (
     sweep,
 )
 
-#: Every scenario's neutral point: parameters under which the plan must
-#: change nothing (the "calibrated instrument reads zero" gate).
-NEUTRAL_POINTS = {
-    "identity": {},
-    "stripe": {"factor": 1.0},
-    "bb_offload": {"enabled": 0},
-    "ost_fault": {"servers_offline": 0.0, "rebuild_overhead": 0.0},
-    "bb_drain": {"servers_offline": 0.0, "rebuild_overhead": 0.0},
-    "contention": {"factor": 1.0},
-}
+from tests.conftest import NEUTRAL_POINTS
 
 
 @pytest.fixture(scope="module")
@@ -98,17 +91,8 @@ class TestCatalog:
 
 
 class TestIdentityDifferential:
-    """The zero check: identity/neutral points are bit-identical."""
-
-    def test_materialize_identity_bit_identical(self, wstore):
-        twin = materialize(wstore, "identity")
-        assert twin.files.tobytes() == wstore.files.tobytes()
-        assert twin.jobs.tobytes() == wstore.jobs.tobytes()
-
-    @pytest.mark.parametrize("name", sorted(NEUTRAL_POINTS))
-    def test_neutral_point_bit_identical(self, wstore, name):
-        twin = materialize(wstore, name, NEUTRAL_POINTS[name])
-        assert twin.files.tobytes() == wstore.files.tobytes()
+    """The zero check at every entry point but ``materialize``, whose
+    neutral twins the differential oracle pins byte for byte."""
 
     def test_compute_point_identity_outcome_equals_baseline(self, wstore):
         report = compute_point(wstore, "identity")
@@ -131,8 +115,6 @@ class TestIdentityDifferential:
         assert wire["rows"] == direct.to_rows()
 
     def test_cli_identity_reads_zero(self, wstore, tmp_path, capsys):
-        from repro.cli import main
-
         path = str(tmp_path / "wi.npz")
         save_store(wstore, path)
         assert main(["whatif", path, "--scenario", "identity"]) == 0
@@ -180,8 +162,6 @@ class TestScenarioEffects:
                 > r.metric("insystem", "write", baseline=True).files)
 
     def test_bb_offload_materialized_relayers_rows(self, wstore):
-        from repro.store.schema import LAYER_INSYSTEM
-
         twin = materialize(wstore, "bb_offload", {"min_gb": 1.0})
         r = compute_point(wstore, "bb_offload", {"min_gb": 1.0})
         gained = ((twin.files["layer"] == LAYER_INSYSTEM).sum()

@@ -55,8 +55,7 @@ from repro.whatif.transfers import (
     layout_parallelism,
     nnodes_by_row,
 )
-from tests.conftest import fresh_store
-from tests.test_whatif import NEUTRAL_POINTS
+from tests.conftest import NEUTRAL_POINTS, fresh_store
 
 _IFACES = [int(i) for i in IOInterface]
 
