@@ -23,6 +23,7 @@ import pytest
 
 from repro.analysis import performance_by_bin
 from repro.analysis.context import AnalysisContext
+from repro.analysis.report import render_results
 from repro.cli import main
 from repro.errors import (
     QueryTimeoutError,
@@ -35,6 +36,7 @@ from repro.serve import (
     QueryEngine,
     ServeClient,
     default_registry,
+    serialize_result,
 )
 from repro.serve.cache import ResultCache
 from repro.serve.metrics import LatencyHistogram, Metrics
@@ -114,7 +116,20 @@ class TestQueryEngineBasics:
 
 
 class TestEquivalence:
-    """Served == direct for every query is the oracle's ``wire`` path."""
+    """Served == direct for every query is the oracle's ``wire`` path;
+    this keeps one in-process engine check on a tabular exhibit."""
+
+    @pytest.mark.parametrize("name", ["table3"])
+    def test_exhibit_identical_to_direct(self, summit_store_small, name):
+        spec = default_registry()[name]
+        with QueryEngine(summit_store_small, max_workers=2) as engine:
+            served = engine.query(name)
+        # A fresh store over the same rows: the direct path recomputes
+        # from raw rows rather than sharing the engine's memoized results.
+        direct = spec.run(fresh_store(summit_store_small), {})
+        assert serialize_result(spec, served) == serialize_result(spec, direct)
+        assert render_results(spec.title, spec.headers, served) == \
+            render_results(spec.title, spec.headers, direct)
 
     def test_exhibit_names_are_the_cli_surface(self):
         assert "table2" in exhibit_names()
@@ -409,6 +424,12 @@ class TestServerClient:
             with ServeClient(port=server.port) as client:
                 yield engine, client
         engine.close()
+
+    def test_wire_result_matches_local_serialization(self, served, summit_store_small):
+        _, client = served
+        spec = default_registry()["table3"]
+        direct = spec.run(fresh_store(summit_store_small), {})
+        assert client.query("table3") == serialize_result(spec, direct)
 
     def test_wire_errors_are_typed(self, served):
         _, client = served

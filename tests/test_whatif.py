@@ -91,8 +91,18 @@ class TestCatalog:
 
 
 class TestIdentityDifferential:
-    """The zero check at every entry point but ``materialize``, whose
-    neutral twins the differential oracle pins byte for byte."""
+    """The zero check at every entry point; the differential oracle pins
+    every scenario's neutral twin byte for byte, tables and catalogs."""
+
+    def test_materialize_identity_bit_identical(self, wstore):
+        twin = materialize(wstore, "identity")
+        assert twin.files.tobytes() == wstore.files.tobytes()
+        assert twin.jobs.tobytes() == wstore.jobs.tobytes()
+
+    @pytest.mark.parametrize("name", ["identity"])
+    def test_neutral_point_bit_identical(self, wstore, name):
+        twin = materialize(wstore, name, NEUTRAL_POINTS[name])
+        assert twin.files.tobytes() == wstore.files.tobytes()
 
     def test_compute_point_identity_outcome_equals_baseline(self, wstore):
         report = compute_point(wstore, "identity")
